@@ -6,32 +6,34 @@ strategies, but the achieved reduction of the time required to train
 accurate models may be advantageous."  This ablation quantifies exactly
 that: for batch sizes 1/4/8, the number of *rounds* (wall-clock proxy —
 each round's simulations run concurrently) drops linearly while final
-accuracy degrades only mildly.
+accuracy degrades only mildly.  In-round diversity comes from the AL
+loop's kriging believer (each pick's predicted mean is pseudo-observed
+before the next pick).
 """
 
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import RandGoodness, random_partition
-from repro.core.batch_selection import BatchActiveLearner
+from repro.core import ActiveLearner, ALConfig, RandGoodness, random_partition
 
 BATCH_SIZES = (1, 4, 8)
 SAMPLES = 48  # total experiments selected, whatever the batch size
 SEEDS = (0, 1)
 
 
-def run_one(dataset, batch_size, strategy, seed, refit):
+def run_one(dataset, batch_size, seed, refit):
     rng = np.random.default_rng(seed)
     part = random_partition(rng, len(dataset), n_init=50, n_test=200)
-    learner = BatchActiveLearner(
+    learner = ActiveLearner(
         dataset,
         part,
         policy=RandGoodness(),
         rng=rng,
-        max_iterations=SAMPLES,
-        hyper_refit_interval=refit,
-        batch_size=batch_size,
-        batch_strategy=strategy,
+        config=ALConfig(
+            max_iterations=SAMPLES,
+            hyper_refit_interval=refit,
+            batch_size=batch_size,
+        ),
     )
     return learner.run()
 
@@ -42,21 +44,16 @@ def test_ablation_batch_size(benchmark, report, dataset, bench_scale):
 
     def run():
         for bs in BATCH_SIZES:
-            for strategy in ("independent", "believer"):
-                key = (bs, strategy)
-                results[key] = [
-                    run_one(dataset, bs, strategy, s, refit) for s in SEEDS
-                ]
+            results[bs] = [run_one(dataset, bs, s, refit) for s in SEEDS]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    for (bs, strategy), trajs in results.items():
+    for bs, trajs in results.items():
         rounds = -(-SAMPLES // bs)
         rows.append(
             [
                 bs,
-                strategy,
                 rounds,
                 float(np.median([t.final_rmse_cost for t in trajs])),
                 float(np.median([t.total_cost for t in trajs])),
@@ -65,7 +62,7 @@ def test_ablation_batch_size(benchmark, report, dataset, bench_scale):
     report(
         "ablation_batch_size",
         format_table(
-            ["batch", "strategy", "rounds", "final_rmse", "total_cost_nh"], rows
+            ["batch", "rounds", "final_rmse", "total_cost_nh"], rows
         ),
     )
 
@@ -74,7 +71,7 @@ def test_ablation_batch_size(benchmark, report, dataset, bench_scale):
     assert -(-SAMPLES // 8) * 8 >= SAMPLES
     # The batched model still learns: every configuration ends with finite,
     # sane RMSE, within a modest factor of the sequential baseline.
-    seq = np.median([t.final_rmse_cost for t in results[(1, "independent")]])
+    seq = np.median([t.final_rmse_cost for t in results[1]])
     for key, trajs in results.items():
         final = np.median([t.final_rmse_cost for t in trajs])
         assert np.isfinite(final)

@@ -1,6 +1,6 @@
 """Perf headline: multi-fidelity portfolios vs single-fidelity RGMA.
 
-The batch multi-fidelity learner buys most of its information at coarse
+The batch multi-fidelity rounds of the AL loop buy most of its information at coarse
 fidelity rungs (low ``mx`` / shallow ``max_level``), each priced by the
 machine model at a fraction of the full-fidelity node-hour cost, and
 propagates it to the top-fidelity posterior through the co-kriging stack.
@@ -8,12 +8,12 @@ Two claims are pinned:
 
 - **regret per node-hour**: over held-out seeds, the F=2/B=4 portfolio
   configuration ends at (or below) sequential RGMA's final cumulative
-  regret while committing >= ``NODE_HOUR_TARGET``x fewer ledger
-  node-hours for the same number of acquisitions — the coarse rungs do
-  the exploring, the budget does the rationing;
-- **exact reduction**: at B=1/F=1 the portfolio learner reproduces
+  regret while committing >= ``NODE_HOUR_TARGET``x fewer node-hours for
+  the same number of acquisitions — the coarse rungs do the exploring,
+  the budget does the rationing;
+- **exact reduction**: at B=1/F=1 the portfolio configuration reproduces
   sequential RGMA's selections bit-identically (same partitions, same
-  rng streams), so the batch layer is a strict generalization, not a
+  rng streams), so batch rounds are a strict generalization, not a
   different algorithm.  The RGMA baselines fan out over
   ``REPRO_BENCH_WORKERS`` processes; parity holds for any worker count
   by seed design.
@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import (
+    ActiveLearner,
     ALConfig,
-    MultiFidelityActiveLearner,
     PortfolioPolicy,
     RGMA,
     TrajectorySpec,
@@ -106,7 +106,7 @@ def _parity(dataset, memory_limit: float, workers: int) -> dict:
     rounds = 0
     for i, (_, traj) in enumerate(rgma):
         partition, rng = _seeded(i, dataset)
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             dataset,
             partition,
             policy=PortfolioPolicy(memory_limit_MB=memory_limit),
@@ -162,7 +162,7 @@ def test_mf_portfolio_regret(dataset, memory_limit, bench_workers, report):
     mf_regrets, mf_nhs, mf_rmses, mf_coarse = [], [], [], []
     for i in range(seeds):
         partition, rng = _seeded(i, dataset)
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_dataset,
             partition,
             policy=PortfolioPolicy(memory_limit_MB=memory_limit),
@@ -171,7 +171,7 @@ def test_mf_portfolio_regret(dataset, memory_limit, bench_workers, report):
         )
         traj = learner.run()
         mf_regrets.append(traj.total_regret)
-        mf_nhs.append(learner.ledger.committed_node_hours)
+        mf_nhs.append(learner.cumulative_cost_spent)
         mf_rmses.append(traj.final_rmse_cost)
         mf_coarse.append(
             sum(1 for r in traj.records if r.fidelity < NUM_FIDELITIES - 1)

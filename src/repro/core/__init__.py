@@ -32,6 +32,7 @@ from repro.core.policies import (
     MinPred,
     RandGoodness,
     RGMA,
+    PortfolioPolicy,
     POLICIES,
 )
 from repro.core.metrics import (
@@ -66,12 +67,6 @@ from repro.core.service import (
     dumps_campaign,
     loads_campaign,
 )
-from repro.core.portfolio import (
-    MultiFidelityActiveLearner,
-    PortfolioCandidateView,
-    PortfolioPolicy,
-)
-from repro.core.batch_selection import BATCH_STRATEGIES, BatchActiveLearner
 from repro.core.online import OnlineActiveLearner, OnlineResult
 from repro.core.advisor import ConfigurationAdvisor, Recommendation
 from repro.core.stopping import (
@@ -124,11 +119,7 @@ __all__ = [
     "dataset_fingerprint",
     "dumps_campaign",
     "loads_campaign",
-    "MultiFidelityActiveLearner",
-    "PortfolioCandidateView",
     "PortfolioPolicy",
-    "BatchActiveLearner",
-    "BATCH_STRATEGIES",
     "BatchConfig",
     "OnlineActiveLearner",
     "OnlineResult",

@@ -156,6 +156,38 @@ class ALConfig:
                     "the top fidelity_schedule pair must be the identity (1, 0)"
                 )
         object.__setattr__(self, "fidelity_schedule", schedule)
+        faults = self.acquisition_faults
+        if faults is not None and faults.enabled:
+            self.check_sequential("acquisition faults")
+        if self.policy is not None and not getattr(
+            policy_registry.get(self.policy), "requires_surrogate", True
+        ):
+            self.check_sequential(f"zero-refit policies ({self.policy!r})")
+
+    @property
+    def sequential(self) -> bool:
+        """One full-fidelity pick per round and no round budget.
+
+        The paper's Algorithm 1 as written; anything else is a batch
+        multi-fidelity portfolio run of the same loop.
+        """
+        return (
+            self.num_fidelities == 1
+            and self.batch_size == 1
+            and self.round_budget_node_hours is None
+        )
+
+    def check_sequential(self, what: str) -> None:
+        """Refuse ``what`` outside the sequential loop (:attr:`sequential`).
+
+        Acquisition faults and zero-refit policies are defined for one
+        full-fidelity pick per round only.
+        """
+        if not self.sequential:
+            raise ValueError(
+                f"{what} are supported only for sequential runs "
+                "(F=1, B=1, no round budget)"
+            )
 
     def describe(self) -> dict[str, Any]:
         """JSON-able summary of the resolved configuration.

@@ -7,6 +7,15 @@ the sample up in the offline dataset, moves it into the learned set, and
 retrains both models warm-started from the previous hyperparameters.
 Test-set RMSE, cumulative cost, and cumulative regret are recorded after
 every iteration.
+
+The same loop runs batch multi-fidelity rounds (the paper's Sec. VI batch
+scheme; Li et al., "Batch Multi-Fidelity Active Learning with Budget
+Constraints", PAPERS.md): the candidate view carries one row per
+(fidelity, point) pair, :func:`select_round` greedily picks up to
+``batch_size`` pairs through the policy's ordinary ``select`` under an
+optional per-round node-hour budget, every pick is observed, the models
+are refit once, and each pick gets its own record.  One fidelity, one
+pick and no round budget is the paper's loop exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from repro.core.preprocessing import DesignTransform
 from repro.core.stopping import NoEarlyStopping, StoppingRule
 from repro.core.trajectory import IterationRecord, StopReason, Trajectory
 from repro.data.dataset import Dataset
+from repro.data.fidelity import MultiFidelityDataset
 from repro.faults.acquisition import (
     AcquisitionFaultModel,
     AcquisitionOutcome,
@@ -39,6 +49,7 @@ from repro.gp.surrogate import (
     cross_version,
     supports_cross,
 )
+from repro.machine.accounting import CampaignLedger
 
 #: Sentinel distinguishing "legacy kwarg not passed" from any real value,
 #: so explicitly passed legacy kwargs override an ``ALConfig`` while
@@ -153,13 +164,77 @@ class CandidateCovarianceCache:
         self._diag = np.delete(self._diag, pos)
 
 
+def select_round(
+    policy: SelectionPolicy,
+    view: CandidateView,
+    rng: np.random.Generator,
+    num_points: int,
+    batch_size: int = 1,
+    blocked: np.ndarray | None = None,
+    ledger: CampaignLedger | None = None,
+    condition=None,
+) -> list[tuple[int, int]]:
+    """Greedily pick up to ``batch_size`` ``(position, fidelity)`` pairs.
+
+    ``view`` is fidelity-major: row ``f * num_points + pos`` scores pool
+    position ``pos`` at fidelity ``f``.  Each pick is one ordinary
+    ``policy.select`` call on the view restricted to the open pairs: not
+    ``blocked``, point not already picked this round, and — with a round
+    ``ledger`` — predicted cost ``10**mu_cost`` within the ledger's
+    remaining node-hours.  Picks are charged to the ledger at their
+    predicted cost, so a round's predicted total never exceeds its
+    budget.  After each pick but the last, ``condition(pos, fid)`` (if
+    given) returns the view's new ``sigma_cost``.
+
+    With one fidelity, one pick and no ledger this is exactly one
+    ``policy.select(view, rng)`` call.
+    """
+    open_rows = np.ones(len(view), dtype=bool) if blocked is None else ~blocked
+    picks: list[tuple[int, int]] = []
+    for b in range(batch_size):
+        feasible = open_rows
+        if ledger is not None:
+            feasible = feasible & (
+                np.power(10.0, view.mu_cost) <= ledger.remaining_node_hours
+            )
+        rows = np.flatnonzero(feasible)
+        if rows.size == 0:
+            break
+        sub = view if rows.size == len(view) else CandidateView(
+            X=view.X[rows],
+            mu_cost=view.mu_cost[rows],
+            sigma_cost=view.sigma_cost[rows],
+            mu_mem=view.mu_mem[rows],
+            sigma_mem=view.sigma_mem[rows],
+        )
+        k = policy.select(sub, rng)
+        if k is None:
+            break
+        j = int(rows[k])
+        fid, pos = divmod(j, num_points)
+        picks.append((pos, fid))
+        # One observation per design point per round.
+        open_rows[pos::num_points] = False
+        if ledger is not None:
+            ledger.charge(float(10.0 ** view.mu_cost[j]))
+        if condition is not None and b + 1 < batch_size:
+            view = _dc_replace(view, sigma_cost=condition(pos, fid))
+    return picks
+
+
 class ActiveLearner:
     """Runs Algorithm 1 on an offline dataset.
 
     Parameters
     ----------
-    dataset : Dataset
-        Precomputed job table (features + cost/memory responses).
+    dataset : Dataset or MultiFidelityDataset
+        Precomputed job table (features + cost/memory responses).  With
+        ``config.num_fidelities > 1`` a plain :class:`Dataset` is priced
+        at every rung by :meth:`MultiFidelityDataset.from_dataset` (from
+        ``config.resolved_schedule()`` and ``config.fidelity_seed``); a
+        priced :class:`MultiFidelityDataset` is used as given, and the
+        config is normalized to its fidelity axis and to the
+        ``"multifidelity"`` co-kriging surrogate.
     partition : Partition
         Initial / Active / Test split.
     policy : SelectionPolicy, optional
@@ -178,9 +253,10 @@ class ActiveLearner:
     n_restarts : int
         LML restarts on the initial fit (later fits warm-start).
     hyper_refit_interval : int
-        Re-optimize hyperparameters every this many iterations; in between,
-        the models are refactored on the enlarged training set with frozen
-        hyperparameters.  1 (default) is the paper-faithful behaviour.
+        Re-optimize hyperparameters every this many rounds (iterations at
+        B=1); in between, the models are refactored on the enlarged
+        training set with frozen hyperparameters.  1 (default) is the
+        paper-faithful behaviour.
     stopping_rule : StoppingRule, optional
         Extra early-termination heuristic (Sec. V-D); default never fires.
     max_iterations : int, optional
@@ -233,12 +309,16 @@ class ActiveLearner:
         (:class:`repro.core.config.ALConfig`).  Legacy keywords passed
         explicitly override the corresponding config fields; the resolved
         configuration is available as ``self.config`` and embedded in the
-        returned :class:`~repro.core.trajectory.Trajectory`.
+        returned :class:`~repro.core.trajectory.Trajectory`.  Its
+        ``batch_size``, ``num_fidelities`` and ``round_budget_node_hours``
+        shape each round (see :meth:`step`); ``hyper_refit_interval``
+        and ``max_iterations`` count rounds and selected samples
+        respectively.
     """
 
     def __init__(
         self,
-        dataset: Dataset,
+        dataset: Dataset | MultiFidelityDataset,
         partition: Partition,
         policy: SelectionPolicy | None = None,
         rng: np.random.Generator | None = None,
@@ -282,6 +362,30 @@ class ActiveLearner:
         # replace() re-runs ALConfig.__post_init__, so overrides are
         # validated and normalized exactly like direct construction.
         cfg = _dc_replace(base, **overrides) if overrides else base
+        mf = dataset if isinstance(dataset, MultiFidelityDataset) else None
+        if mf is None and cfg.num_fidelities > 1:
+            mf = MultiFidelityDataset.from_dataset(
+                dataset, cfg.resolved_schedule(), seed=cfg.fidelity_seed
+            )
+        if mf is not None:
+            dataset = mf.base
+            if mf.num_fidelities == 1:
+                mf = None
+            else:
+                # describe()/fingerprint() must name the run's real
+                # identity: the co-kriging backend and the fidelity axis
+                # actually in effect.
+                opts = dict(cfg.surrogate_options)
+                opts["num_fidelities"] = mf.num_fidelities
+                cfg = _dc_replace(
+                    cfg,
+                    surrogate="multifidelity",
+                    surrogate_options=opts,
+                    num_fidelities=mf.num_fidelities,
+                    fidelity_schedule=tuple(
+                        tuple(level.describe()) for level in mf.schedule.levels
+                    ),
+                )
         self.config = cfg
 
         if rng is None:
@@ -297,6 +401,7 @@ class ActiveLearner:
         # RMSE evaluation anywhere on the serving path.
         self._zero_refit = not getattr(policy, "requires_surrogate", True)
         if self._zero_refit:
+            cfg.check_sequential(f"zero-refit policies ({policy.name!r})")
             if cfg.on_failure is FailurePolicy.IMPUTE:
                 raise ValueError(
                     "on_failure='impute' needs surrogate predictions; "
@@ -323,11 +428,19 @@ class ActiveLearner:
         )
         self.max_iterations = cfg.max_iterations
         self.weight_rmse_by_cost = cfg.weight_rmse_by_cost
+        self.batch_size = cfg.batch_size
+        self.round_budget = cfg.round_budget_node_hours
 
         self.scaler = DesignTransform(dataset.bounds, log2_columns=cfg.log2_features)
         self._U = self.scaler.transform(dataset.X)  # all features, unit cube
         self._log_cost = dataset.log_cost()
         self._log_mem = dataset.log_mem()
+        #: The priced fidelity surfaces (``None`` at one fidelity) and the
+        #: pairs acquired below the top rung, per rung; top-fidelity
+        #: acquisitions leave the pool and use the lists further down.
+        self.mf = mf
+        self._F = 1 if mf is None else mf.num_fidelities
+        self._lofi_learned: list[list[int]] = [[] for _ in range(self._F - 1)]
 
         if cfg.model_factory is not None:
             self.gpr_cost = cfg.model_factory()
@@ -379,6 +492,7 @@ class ActiveLearner:
         self._cum_cost = 0.0
         self._cum_regret = 0.0
         self._iteration = 0
+        self._round = 0
         self._initial_rmse = (float("nan"), float("nan"))
         self._prev_rmse = (float("nan"), float("nan"), float("nan"))
         self._memory_limit: float | None = None
@@ -390,37 +504,49 @@ class ActiveLearner:
             [self.partition.init_idx, np.asarray(self._learned, dtype=np.int64)]
         )
 
-    def _learn_observed(self, ds_indices) -> None:
-        """Add fully observed samples (true targets) to both models.
+    def _training_set(self, memory: bool, extra=()) -> tuple[np.ndarray, np.ndarray]:
+        """Training rows of the cost (or ``memory``) model.
 
-        The helper subclasses (e.g. the batch learner) must use instead of
-        touching ``_learned`` directly, so the per-model target lists stay
-        aligned with the index lists.
+        The Initial samples plus the learned ones.  At F > 1 every rung
+        contributes its own rows — the Initial samples plus the pairs
+        acquired at that rung — tagged with a trailing fidelity column
+        for the co-kriging stack.  ``extra`` appends ``(dataset index,
+        fidelity, target)`` pseudo-observations (the in-round believer).
         """
-        for ds_index in ds_indices:
-            ds_index = int(ds_index)
-            self._learned.append(ds_index)
-            self._targets_cost.append(float(self._log_cost[ds_index]))
-            self._learned_mem.append(ds_index)
-            self._targets_mem.append(float(self._log_mem[ds_index]))
+        init = self.partition.init_idx
+        if memory:
+            learned, targets, log_y = self._learned_mem, self._targets_mem, self._log_mem
+        else:
+            learned, targets, log_y = self._learned, self._targets_cost, self._log_cost
+        idx = np.concatenate([init, np.asarray(learned, dtype=np.int64)])
+        y = np.concatenate([log_y[init], np.asarray(targets, dtype=np.float64)])
+        if self._F == 1 and not extra:
+            return self._U[idx], y
+        blocks = []
+        for f, lofi in enumerate(self._lofi_learned):
+            lidx = np.concatenate([init, np.asarray(lofi, dtype=np.int64)])
+            surface = self.mf.mem if memory else self.mf.cost
+            blocks.append((f, lidx, np.log10(surface[f][lidx])))
+        blocks.append((self._F - 1, idx, y))
+        blocks += [(f, np.array([i]), np.array([t])) for i, f, t in extra]
+        X = np.vstack([
+            self._U[rows]
+            if self._F == 1
+            else np.column_stack([self._U[rows], np.full(rows.shape[0], float(f))])
+            for f, rows, _ in blocks
+        ])
+        return X, np.concatenate([t for _, _, t in blocks])
 
     def _fit_models(self, optimize: bool = True) -> None:
-        init = self.partition.init_idx
-        idx_c = np.concatenate([init, np.asarray(self._learned, dtype=np.int64)])
-        y_c = np.concatenate(
-            [self._log_cost[init], np.asarray(self._targets_cost, dtype=np.float64)]
-        )
-        idx_m = np.concatenate([init, np.asarray(self._learned_mem, dtype=np.int64)])
-        y_m = np.concatenate(
-            [self._log_mem[init], np.asarray(self._targets_mem, dtype=np.float64)]
-        )
-        with obs.span("gp_fit", cat="al", optimize=optimize, n=int(idx_c.shape[0])):
+        X_c, y_c = self._training_set(memory=False)
+        X_m, y_m = self._training_set(memory=True)
+        with obs.span("gp_fit", cat="al", optimize=optimize, n=int(X_c.shape[0])):
             if optimize:
-                self.gpr_cost.fit(self._U[idx_c], y_c)
-                self.gpr_mem.fit(self._U[idx_m], y_m)
+                self.gpr_cost.fit(X_c, y_c)
+                self.gpr_mem.fit(X_m, y_m)
             else:
-                self.gpr_cost.refactor(self._U[idx_c], y_c)
-                self.gpr_mem.refactor(self._U[idx_m], y_m)
+                self.gpr_cost.refactor(X_c, y_c)
+                self.gpr_mem.refactor(X_m, y_m)
 
     def _test_rmse(self) -> tuple[float, float, float]:
         t = self.partition.test_idx
@@ -436,6 +562,14 @@ class ActiveLearner:
         )
 
     def _candidate_view(self) -> CandidateView:
+        """Model state over the pool, one row per (fidelity, point) pair.
+
+        Fidelity-major (see :func:`select_round`); the top rung comes
+        through the candidate caches.  Below the top, ``sigma_cost`` is
+        the *effective* top-fidelity sigma ``|w_f| * sigma_f``: the share
+        of a rung-``f`` observation's uncertainty that propagates into
+        the top-fidelity posterior (``w_f = prod(rho_{f+1..F-1})``).
+        """
         idx = np.asarray(self._remaining, dtype=np.int64)
         U = self._U[idx]
         if self._zero_refit:
@@ -451,9 +585,58 @@ class ActiveLearner:
         else:
             mu_c, sd_c = self.gpr_cost.predict(U, return_std=True)
             mu_m, sd_m = self.gpr_mem.predict(U, return_std=True)
+        if self._F == 1:
+            return CandidateView(
+                X=U, mu_cost=mu_c, sigma_cost=sd_c, mu_mem=mu_m, sigma_mem=sd_m
+            )
+        cost = [self.gpr_cost.predict_fidelity(U, f, True) for f in range(self._F - 1)]
+        mem = [self.gpr_mem.predict_fidelity(U, f, True) for f in range(self._F - 1)]
+        cost.append((mu_c, sd_c))
+        mem.append((mu_m, sd_m))
+        w = np.abs(self.gpr_cost.fidelity_weights(self._F - 1))
         return CandidateView(
-            X=U, mu_cost=mu_c, sigma_cost=sd_c, mu_mem=mu_m, sigma_mem=sd_m
+            X=np.tile(U, (self._F, 1)),
+            mu_cost=np.concatenate([mu for mu, _ in cost]),
+            sigma_cost=np.concatenate([w[f] * sd for f, (_, sd) in enumerate(cost)]),
+            mu_mem=np.concatenate([mu for mu, _ in mem]),
+            sigma_mem=np.concatenate([sd for _, sd in mem]),
         )
+
+    def _believer(self, view: CandidateView):
+        """The in-round conditioner: a kriging believer on the cost model.
+
+        After a pick, the cost model's predicted mean there joins its
+        training set as a pseudo-observation (hyperparameters frozen) and
+        sigma is re-predicted for every (fidelity, point) row, so the
+        collapsed uncertainty steers the round's next pick away.  The
+        round's refit on the true data replaces the pseudo-points.
+        """
+        idx = np.asarray(self._remaining, dtype=np.int64)
+        U = self._U[idx]
+        m = idx.shape[0]
+        pseudo: list[tuple[int, int, float]] = []
+
+        def condition(pos: int, fid: int) -> np.ndarray:
+            pseudo.append((int(idx[pos]), fid, float(view.mu_cost[fid * m + pos])))
+            self.gpr_cost.refactor(*self._training_set(memory=False, extra=pseudo))
+            if self._F == 1:
+                return self.gpr_cost.predict(U, return_std=True)[1]
+            w = np.abs(self.gpr_cost.fidelity_weights(self._F - 1))
+            return np.concatenate([
+                w[f] * self.gpr_cost.predict_fidelity(U, f, True)[1]
+                for f in range(self._F)
+            ])
+
+        return condition
+
+    def _blocked(self) -> np.ndarray | None:
+        """View rows already acquired (sub-top pairs; ``None`` at F=1)."""
+        if self._F == 1:
+            return None
+        idx = np.asarray(self._remaining, dtype=np.int64)
+        rows = [np.isin(idx, lofi) for lofi in self._lofi_learned]
+        rows.append(np.zeros(idx.shape[0], dtype=bool))
+        return np.concatenate(rows)
 
     # -------------------------------------------------------------------- run
 
@@ -548,14 +731,19 @@ class ActiveLearner:
         self._started = True
 
     def step(self) -> bool:
-        """One selection attempt; returns False once the run has ended.
+        """One AL round; returns False once the run has ended.
 
-        Exactly one pass of Algorithm 1's loop body: at most one candidate
-        leaves the pool, and the ``next_best`` failure path consumes a step
-        without advancing the iteration counter (a replacement is selected
-        on the following step), matching the historical in-loop ``continue``.
-        The learner may be pickled between any two calls and the restored
-        copy continues the identical sequence.
+        One pass of Algorithm 1's loop body, widened to a portfolio:
+        :func:`select_round` picks up to ``batch_size`` (point, fidelity)
+        pairs (conditioning the cost model on each pick by the kriging
+        believer, :meth:`_believer`), :meth:`_acquire` observes each one,
+        the models are refit once, and every pick gets its own record.
+        At B=1/F=1 that is one candidate leaving the pool, and the
+        ``next_best`` failure path consumes a step without advancing the
+        iteration counter (a replacement is selected on the following
+        step), matching the historical in-loop ``continue``.  The learner
+        may be pickled between any two calls and the restored copy
+        continues the identical sequence.
         """
         if not self._started:
             self.start()
@@ -565,10 +753,7 @@ class ActiveLearner:
             self._stop = StopReason.EXHAUSTED
             return False
 
-        faults = self.acquisition_faults
-        faults_on = faults is not None and faults.enabled
         iteration = self._iteration
-
         with obs.span(
             "al_iteration",
             cat="al",
@@ -579,151 +764,232 @@ class ActiveLearner:
                 self._stop = StopReason.MAX_ITERATIONS
                 return False
             view = self._candidate_view()
-            if self.stopping_rule.update(view.mu_cost, view.sigma_cost):
+            m = len(self._remaining)
+            top = slice((self._F - 1) * m, None)
+            if self.stopping_rule.update(view.mu_cost[top], view.sigma_cost[top]):
                 self._stop = StopReason.STOPPING_RULE
                 return False
-            pos = self.policy.select(view, self.rng)
-            if pos is None:
-                self._stop = StopReason.MEMORY_CONSTRAINED
+            batch = self.batch_size
+            if self.max_iterations is not None:
+                batch = min(batch, self.max_iterations - iteration)
+            ledger = (
+                None
+                if self.round_budget is None
+                else CampaignLedger(budget_node_hours=self.round_budget)
+            )
+            blocked = self._blocked()
+            picks = select_round(
+                self.policy,
+                view,
+                self.rng,
+                num_points=m,
+                batch_size=batch,
+                blocked=blocked,
+                ledger=ledger,
+                condition=self._believer(view) if batch > 1 else None,
+            )
+            if not picks:
+                self._stop = self._empty_round_reason(view, blocked, ledger)
                 return False
-            ds_index = self._remaining.pop(pos)
-            outcome = faults.strike(self.rng) if faults_on else AcquisitionOutcome.OK
 
-            # The experiment ran (or died trying): its node-hours are
-            # spent regardless of whether the observation is usable.
-            cost = float(self.dataset.cost[ds_index])
-            mem = float(self.dataset.mem[ds_index])
-            self._cum_cost += cost
-            if self._memory_limit is not None:
-                self._cum_regret += individual_regret(cost, mem, self._memory_limit)
-
-            crashed = outcome is AcquisitionOutcome.CRASHED
-            censored = outcome is AcquisitionOutcome.CENSORED
-            if crashed and self.on_failure is not FailurePolicy.IMPUTE:
-                # The sample is lost entirely: remove it from the cached
-                # cross-covariances (row only — it never joins the kernel)
-                # and leave both models untouched.
-                if self.cache_candidates:
-                    self._cache_cost.drop(pos)
-                    self._cache_mem.drop(pos)
-                if self._policy_hooks:
-                    self.policy.observe_drop(pos, cost=cost)
-                obs.event(
-                    "acquisition_fault",
-                    cat="al",
-                    kind="crash",
-                    dataset_index=int(ds_index),
-                    handled=self.on_failure.value,
-                )
-                self._fault_events.append(
-                    FaultEvent(
-                        job_id=int(ds_index),
-                        attempt=iteration,
-                        kind=FaultKind.CRASH,
-                        lost_wall_seconds=float(self.dataset.wall[ds_index]),
-                        nodes=int(self.dataset.X[ds_index, 0]),
-                        detail=f"acquisition crashed ({self.on_failure.value})",
-                    )
-                )
-                self._records.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        dataset_index=int(ds_index),
-                        cost=cost,
-                        mem=mem,
-                        rmse_cost=self._prev_rmse[0],
-                        rmse_mem=self._prev_rmse[1],
-                        cumulative_cost=self._cum_cost,
-                        cumulative_regret=self._cum_regret,
-                        rmse_cost_weighted=self._prev_rmse[2],
-                        failed=True,
-                    )
-                )
-                if self.on_failure is not FailurePolicy.NEXT_BEST:
-                    self._iteration += 1  # DROP: the iteration is consumed
-                return True  # NEXT_BEST: replacement selected next step
-
-            # The sample (or an imputation of it) joins the training sets.
-            u_new = self._U[ds_index]
-            target_cost = float(self._log_cost[ds_index])
-            target_mem = float(self._log_mem[ds_index])
-            learn_mem = True
-            if crashed:  # IMPUTE policy: both observations were lost
-                target_cost = float(self.gpr_cost.predict(u_new[None, :])[0])
-                target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
-            elif censored:  # cost observed, MaxRSS lost
-                if self.on_failure is FailurePolicy.IMPUTE:
-                    target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
-                else:
-                    learn_mem = False
-
-            self._learned.append(ds_index)
-            self._targets_cost.append(target_cost)
-            if learn_mem:
-                self._learned_mem.append(ds_index)
-                self._targets_mem.append(target_mem)
-            if self.cache_candidates and not self._zero_refit:
-                U_rem = self._U[np.asarray(self._remaining, dtype=np.int64)]
-                self._cache_cost.acquire(pos, U_rem, u_new)
-                if learn_mem:
-                    self._cache_mem.acquire(pos, U_rem, u_new)
-                else:
-                    self._cache_mem.drop(pos)
-            if self._policy_hooks:
-                self.policy.observe_acquire(
-                    pos,
-                    u_new,
-                    cost=cost,
-                    target_cost=target_cost,
-                    target_mem=target_mem,
-                    learn_mem=learn_mem,
-                )
-            if crashed or censored:
-                obs.event(
-                    "acquisition_fault",
-                    cat="al",
-                    kind="crash" if crashed else "rss_lost",
-                    dataset_index=int(ds_index),
-                    handled=self.on_failure.value,
-                )
-                self._fault_events.append(
-                    FaultEvent(
-                        job_id=int(ds_index),
-                        attempt=iteration,
-                        kind=FaultKind.CRASH if crashed else FaultKind.RSS_LOST,
-                        lost_wall_seconds=(
-                            float(self.dataset.wall[ds_index]) if crashed else 0.0
-                        ),
-                        nodes=int(self.dataset.X[ds_index, 0]),
-                        detail=f"handled via {self.on_failure.value}",
-                    )
-                )
+            observed = []
+            top_fid = self._F - 1
+            for k, (pos, fid) in enumerate(picks):
+                # Earlier top-fidelity picks already left the pool.
+                pos -= sum(1 for p, f in picks[:k] if f == top_fid and p < pos)
+                acquired = self._acquire(pos, fid)
+                if acquired is None:
+                    return True  # lost acquisition (B=1/F=1 only)
+                observed.append(acquired)
 
             if self._zero_refit:
                 # The whole point: no fit, no refactor, no RMSE pass.
                 rmse_c, rmse_m, rmse_w = self._prev_rmse
             else:
-                optimize = (iteration % self.hyper_refit_interval) == 0
+                optimize = (self._round % self.hyper_refit_interval) == 0
                 self._fit_models(optimize=optimize)
                 rmse_c, rmse_m, rmse_w = self._test_rmse()
                 self._prev_rmse = (rmse_c, rmse_m, rmse_w)
+            for ds_index, fid, cost, mem, cum_cost, cum_regret, crashed, censored in (
+                observed
+            ):
+                self._records.append(
+                    IterationRecord(
+                        iteration=self._iteration,
+                        dataset_index=ds_index,
+                        cost=cost,
+                        mem=mem,
+                        rmse_cost=rmse_c,
+                        rmse_mem=rmse_m,
+                        cumulative_cost=cum_cost,
+                        cumulative_regret=cum_regret,
+                        rmse_cost_weighted=rmse_w,
+                        failed=crashed,
+                        censored=censored,
+                        fidelity=fid,
+                    )
+                )
+                self._iteration += 1
+            self._round += 1
+        return True
+
+    def _empty_round_reason(
+        self,
+        view: CandidateView,
+        blocked: np.ndarray | None,
+        ledger: CampaignLedger | None,
+    ) -> StopReason:
+        """Why a round picked nothing: the round budget, or memory."""
+        safe = np.ones(len(view), dtype=bool) if blocked is None else ~blocked
+        if self._memory_limit is not None:
+            safe &= view.mu_mem < np.log10(self._memory_limit)
+        if ledger is not None and safe.any():
+            return StopReason.BUDGET_EXHAUSTED
+        return StopReason.MEMORY_CONSTRAINED
+
+    def _acquire(self, pos: int, fid: int):
+        """Run the experiment at pool position ``pos`` and fidelity ``fid``.
+
+        A top-fidelity pick leaves the pool and joins the training sets
+        (or, under acquisition faults, is handled per ``on_failure``); a
+        sub-top pick joins its rung's rows and the point stays in the
+        pool.  Returns the record fields ``(dataset index, fidelity,
+        cost, mem, cumulative cost, cumulative regret, crashed,
+        censored)``, or ``None`` when the acquisition was lost — its
+        failed record is then already appended and the step is over.
+        """
+        if fid < self._F - 1:
+            ds_index = int(self._remaining[pos])
+            cost = float(self.mf.cost[fid, ds_index])
+            mem = float(self.mf.mem[fid, ds_index])
+            self._charge(cost, mem)
+            self._lofi_learned[fid].append(ds_index)
+            return (ds_index, fid, cost, mem, self._cum_cost, self._cum_regret,
+                    False, False)
+
+        faults = self.acquisition_faults
+        faults_on = faults is not None and faults.enabled
+        iteration = self._iteration
+        ds_index = self._remaining.pop(pos)
+        outcome = faults.strike(self.rng) if faults_on else AcquisitionOutcome.OK
+
+        # The experiment ran (or died trying): its node-hours are
+        # spent regardless of whether the observation is usable.
+        cost = float(self.dataset.cost[ds_index])
+        mem = float(self.dataset.mem[ds_index])
+        self._charge(cost, mem)
+
+        crashed = outcome is AcquisitionOutcome.CRASHED
+        censored = outcome is AcquisitionOutcome.CENSORED
+        if crashed and self.on_failure is not FailurePolicy.IMPUTE:
+            # The sample is lost entirely: remove it from the cached
+            # cross-covariances (row only — it never joins the kernel)
+            # and leave both models untouched.
+            if self.cache_candidates:
+                self._cache_cost.drop(pos)
+                self._cache_mem.drop(pos)
+            if self._policy_hooks:
+                self.policy.observe_drop(pos, cost=cost)
+            obs.event(
+                "acquisition_fault",
+                cat="al",
+                kind="crash",
+                dataset_index=int(ds_index),
+                handled=self.on_failure.value,
+            )
+            self._fault_events.append(
+                FaultEvent(
+                    job_id=int(ds_index),
+                    attempt=iteration,
+                    kind=FaultKind.CRASH,
+                    lost_wall_seconds=float(self.dataset.wall[ds_index]),
+                    nodes=int(self.dataset.X[ds_index, 0]),
+                    detail=f"acquisition crashed ({self.on_failure.value})",
+                )
+            )
             self._records.append(
                 IterationRecord(
                     iteration=iteration,
                     dataset_index=int(ds_index),
                     cost=cost,
                     mem=mem,
-                    rmse_cost=rmse_c,
-                    rmse_mem=rmse_m,
+                    rmse_cost=self._prev_rmse[0],
+                    rmse_mem=self._prev_rmse[1],
                     cumulative_cost=self._cum_cost,
                     cumulative_regret=self._cum_regret,
-                    rmse_cost_weighted=rmse_w,
-                    failed=crashed,
-                    censored=censored,
+                    rmse_cost_weighted=self._prev_rmse[2],
+                    failed=True,
+                    fidelity=fid,
                 )
             )
-            self._iteration += 1
-        return True
+            if self.on_failure is not FailurePolicy.NEXT_BEST:
+                # DROP: the iteration (and its round) is consumed.
+                self._iteration += 1
+                self._round += 1
+            return None  # NEXT_BEST: replacement selected next step
+
+        # The sample (or an imputation of it) joins the training sets.
+        u_new = self._U[ds_index]
+        target_cost = float(self._log_cost[ds_index])
+        target_mem = float(self._log_mem[ds_index])
+        learn_mem = True
+        if crashed:  # IMPUTE policy: both observations were lost
+            target_cost = float(self.gpr_cost.predict(u_new[None, :])[0])
+            target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
+        elif censored:  # cost observed, MaxRSS lost
+            if self.on_failure is FailurePolicy.IMPUTE:
+                target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
+            else:
+                learn_mem = False
+
+        self._learned.append(ds_index)
+        self._targets_cost.append(target_cost)
+        if learn_mem:
+            self._learned_mem.append(ds_index)
+            self._targets_mem.append(target_mem)
+        if self.cache_candidates and not self._zero_refit:
+            U_rem = self._U[np.asarray(self._remaining, dtype=np.int64)]
+            self._cache_cost.acquire(pos, U_rem, u_new)
+            if learn_mem:
+                self._cache_mem.acquire(pos, U_rem, u_new)
+            else:
+                self._cache_mem.drop(pos)
+        if self._policy_hooks:
+            self.policy.observe_acquire(
+                pos,
+                u_new,
+                cost=cost,
+                target_cost=target_cost,
+                target_mem=target_mem,
+                learn_mem=learn_mem,
+            )
+        if crashed or censored:
+            obs.event(
+                "acquisition_fault",
+                cat="al",
+                kind="crash" if crashed else "rss_lost",
+                dataset_index=int(ds_index),
+                handled=self.on_failure.value,
+            )
+            self._fault_events.append(
+                FaultEvent(
+                    job_id=int(ds_index),
+                    attempt=iteration,
+                    kind=FaultKind.CRASH if crashed else FaultKind.RSS_LOST,
+                    lost_wall_seconds=(
+                        float(self.dataset.wall[ds_index]) if crashed else 0.0
+                    ),
+                    nodes=int(self.dataset.X[ds_index, 0]),
+                    detail=f"handled via {self.on_failure.value}",
+                )
+            )
+        return (int(ds_index), fid, cost, mem, self._cum_cost, self._cum_regret,
+                crashed, censored)
+
+    def _charge(self, cost: float, mem: float) -> None:
+        self._cum_cost += cost
+        if self._memory_limit is not None:
+            self._cum_regret += individual_regret(cost, mem, self._memory_limit)
 
     def finalize(self, stop: StopReason | None = None) -> Trajectory:
         """Build the :class:`Trajectory` for the run so far.

@@ -226,6 +226,19 @@ class RGMA:
         return int(satisfying[rng.choice(satisfying.size, p=g)])
 
 
+@register_policy("portfolio")
+class PortfolioPolicy(RGMA):
+    """RGMA under the name batch multi-fidelity runs report.
+
+    The learner's greedy round (:func:`repro.core.loop.select_round`)
+    calls the ordinary :meth:`RGMA.select` once per pick on the
+    fidelity-major candidate view, so a portfolio is RGMA applied to
+    (point, fidelity) pairs; at B=1/F=1 it draws exactly like ``rgma``.
+    """
+
+    name = "portfolio"
+
+
 #: Registry keyed by policy name; values are the policy classes.
 POLICIES: dict[str, type] = {
     RandUniform.name: RandUniform,

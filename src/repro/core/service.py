@@ -227,11 +227,8 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 def build_learner(spec: CampaignSpec, dataset: Dataset) -> ActiveLearner:
     """Cold-start a campaign's learner at its seed-tree position.
 
-    Configs with a fidelity axis (``num_fidelities > 1``), a batch size,
-    or a round budget get a
-    :class:`~repro.core.portfolio.MultiFidelityActiveLearner`.  The
-    fidelity surfaces are priced deterministically from
-    ``(config.resolved_schedule(), config.fidelity_seed)``, so every
+    Configs with a fidelity axis get their surfaces priced by the learner
+    from ``(config.resolved_schedule(), config.fidelity_seed)``, so every
     cold start of the same spec sees identical surfaces — and the
     config's fingerprint covers the fidelity axis, so a checkpoint
     written under one schedule refuses to resume under another.
@@ -243,23 +240,8 @@ def build_learner(spec: CampaignSpec, dataset: Dataset) -> ActiveLearner:
     partition = random_partition(
         rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
     )
-    cfg = spec.config
-    if cfg.num_fidelities > 1 or cfg.batch_size > 1 or (
-        cfg.round_budget_node_hours is not None
-    ):
-        from repro.core.portfolio import MultiFidelityActiveLearner
-        from repro.data.fidelity import MultiFidelityDataset
-
-        ds = dataset
-        if cfg.num_fidelities > 1:
-            ds = MultiFidelityDataset.from_dataset(
-                dataset, cfg.resolved_schedule(), seed=cfg.fidelity_seed
-            )
-        return MultiFidelityActiveLearner(
-            ds, partition, policy=spec.policy_factory(), rng=rng, config=cfg
-        )
     return ActiveLearner(
-        dataset, partition, policy=spec.policy_factory(), rng=rng, config=cfg
+        dataset, partition, policy=spec.policy_factory(), rng=rng, config=spec.config
     )
 
 

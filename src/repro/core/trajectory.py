@@ -59,8 +59,9 @@ class IterationRecord:
         bug); only the cost response was usable.
     fidelity : int
         Fidelity level the sample was observed at (0 = coarsest rung of
-        the :mod:`repro.data.fidelity` ladder); ``-1`` for records from
-        single-fidelity runs predating the axis.
+        the :mod:`repro.data.fidelity` ladder, and the only rung of a
+        single-fidelity run); ``-1`` for records built outside the AL
+        loop.
     """
 
     iteration: int

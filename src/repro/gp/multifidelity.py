@@ -321,43 +321,6 @@ class MultiFidelityGPRegressor(GPRegressor):
             var = np.asarray(prior_diag, dtype=np.float64) - reduction
             return mean, np.sqrt(np.maximum(var, 0.0))
 
-    # -------------------------------------------- portfolio-scoring surface
-
-    def prior_cov_fidelity(
-        self, Xq: np.ndarray, fq: int, x_star: np.ndarray, f_star: int
-    ) -> np.ndarray:
-        """Prior covariance between ``(Xq, fq)`` rows and one ``(x*, f*)``.
-
-        Levels are independent, so only rungs shared by both fidelities
-        contribute: ``sum_{t<=min(fq,f*)} w_t^(fq) w_t^(f*) k_t(Xq, x*)``.
-        The batch-selection layer uses this for its y-free in-batch
-        variance conditioning (DESIGN.md).
-        """
-        if self.num_fidelities == 1:
-            kernel = self.kernel_ if self.kernel_ is not None else self.kernel
-            return kernel(np.atleast_2d(Xq), np.atleast_2d(x_star)).ravel()
-        wq = self.fidelity_weights(fq)
-        ws = self.fidelity_weights(f_star)
-        Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-        xs = np.atleast_2d(np.asarray(x_star, dtype=np.float64))
-        out = np.zeros(Xq.shape[0])
-        for t in range(min(fq, f_star) + 1):
-            k = self._levels[t].kernel_
-            out += wq[t] * ws[t] * k(Xq, xs).ravel()
-        return out
-
-    def prior_var_fidelity(self, x: np.ndarray, level: int) -> float:
-        """Prior variance (with noise) of one point at ``level``."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.num_fidelities == 1:
-            kernel = self.kernel_ if self.kernel_ is not None else self.kernel
-            return float(kernel.diag(x)[0])
-        w = self.fidelity_weights(level)
-        total = 0.0
-        for t in range(level + 1):
-            total += w[t] ** 2 * float(self._levels[t].kernel_.diag(x)[0])
-        return total
-
     # ------------------------------------------------------------- protocol
 
     @property

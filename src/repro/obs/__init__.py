@@ -5,13 +5,12 @@ to our own stack: every hot path is instrumented with hierarchical spans
 (trajectory → AL iteration → {gp_fit, predict, select} → LML evals;
 AMR run → step → {plan, exchange, sweep, dt, regrid}; machine job runs;
 fault-injector retries as annotations) and an always-on metrics registry
-(counters, gauges, time histograms) that subsumes the old ``repro.perf``
-phase tables.
+(counters, gauges, time histograms) with the per-phase timing tables.
 
 Two operating modes:
 
-- **metrics only** (default) — the registry collects what ``repro.perf``
-  always collected, at the same cost.  Span helpers collapse to a shared
+- **metrics only** (default) — the registry collects the phase timers,
+  counters and gauges.  Span helpers collapse to a shared
   no-op: one attribute load and a branch, no RNG, no allocation.
 - **tracing enabled** (:func:`enable_tracing`, or the CLI's
   ``--trace-out``) — the same instrumentation additionally records spans,

@@ -1,14 +1,13 @@
 """Process-global observability state and the instrumentation helpers.
 
-Every process owns exactly one :data:`METRICS` registry (always on — it
-subsumes the old ``repro.perf`` tables at the same cost) and at most one
+Every process owns exactly one :data:`METRICS` registry (always on) and
+at most one
 :class:`~repro.obs.spans.Tracer` (off by default).  Instrumented code
 calls four helpers:
 
 - :func:`timed` — time a block into the metrics registry *and*, when
-  tracing is enabled, emit a span.  This is what replaced every
-  ``perf.timer(...)`` call site; disabled-tracing cost is identical to
-  the old path plus one branch.
+  tracing is enabled, emit a span; with tracing off it costs one
+  branch more than a bare metrics timer.
 - :func:`span` — pure tracing region (AL iteration, machine job, ...);
   a shared no-op while tracing is off.
 - :func:`event` — zero-duration annotation under the current span
@@ -33,8 +32,7 @@ import time
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NOOP_SPAN, Tracer
 
-#: The process-global metrics registry (always on).  This is what the
-#: retired ``repro.perf`` module used to front.
+#: The process-global metrics registry (always on).
 METRICS = MetricsRegistry()
 
 #: The process-global tracer; ``None`` = tracing disabled (the default).
@@ -88,9 +86,8 @@ def event(name: str, cat: str = "", **attrs) -> None:
 def timed(name: str, cat: str = "", **attrs):
     """Time a block into the metrics registry; also a span when tracing.
 
-    The workhorse of the instrumentation: every old ``perf.timer(phase)``
-    call site now reads ``obs.timed(phase, cat=...)``.  With tracing off
-    this *is* the metrics timer (two ``perf_counter()`` calls); with
+    The workhorse of the instrumentation: ``obs.timed(phase, cat=...)``.
+    With tracing off this *is* the metrics timer (two ``perf_counter()`` calls); with
     tracing on, the same block additionally becomes a span named after
     the phase.
     """
@@ -132,7 +129,7 @@ def gauge(name: str, value: float) -> None:
 
 
 def timer(phase: str):
-    """Metrics-only timer against the global registry (perf shim API)."""
+    """Metrics-only timer against the global registry."""
     return METRICS.timer(phase)
 
 

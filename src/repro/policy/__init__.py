@@ -46,6 +46,8 @@ _MEMORY_AWARE = ("rgma", "portfolio", "amortized")
 def make_policy(cfg: ALConfig, dataset: Dataset):
     """Instantiate the selection policy named by ``cfg.policy``.
 
+    An undeclared policy is ``rgma`` for the sequential loop and its
+    portfolio name, ``portfolio``, for batch multi-fidelity runs.
     Resolution goes through :data:`repro.registry.policy_registry` —
     any registered policy (built-in or third-party) is constructible
     here, and unknown names raise listing the registered keys.
@@ -59,7 +61,7 @@ def make_policy(cfg: ALConfig, dataset: Dataset):
     """
     from repro.registry import policy_registry
 
-    name = cfg.policy or "rgma"
+    name = cfg.policy or ("rgma" if cfg.sequential else "portfolio")
     opts = dict(cfg.policy_options)
     policy_cls = policy_registry.get(name)  # unknown -> KeyError with keys
     if name in _MEMORY_AWARE:

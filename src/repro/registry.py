@@ -130,7 +130,6 @@ policy_registry = Registry(
     "policy",
     builtin_modules=(
         "repro.core.policies",
-        "repro.core.portfolio",
         "repro.policy.amortized",
     ),
 )

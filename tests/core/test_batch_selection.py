@@ -1,125 +1,173 @@
-"""Tests for batch (parallel-selection) Active Learning."""
+"""Batch rounds of the one AL loop at a single fidelity.
+
+``ALConfig(batch_size=B)`` makes :class:`ActiveLearner` pick ``B``
+points per round with :func:`repro.core.loop.select_round`, conditioning
+each later pick on the earlier ones by a kriging believer, and retrain
+once per round.  Without a conditioner a round is plain top-``B`` of the
+acquisition (the *independent* batch).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.batch_selection import BatchActiveLearner
-from repro.core.partitions import random_partition
-from repro.core.policies import MaxSigma, RGMA, RandGoodness
-from repro.core.trajectory import StopReason
+from repro.core import (
+    ActiveLearner,
+    ALConfig,
+    MaxSigma,
+    RandGoodness,
+    RGMA,
+    StopReason,
+    random_partition,
+)
+from repro.core.loop import select_round
 
 
-def make_batch_learner(dataset, policy, batch_size, strategy, seed=0, max_iterations=16):
+def _learner(dataset, policy, seed=0, **config):
     rng = np.random.default_rng(seed)
     part = random_partition(rng, len(dataset), n_init=15, n_test=30)
-    return BatchActiveLearner(
-        dataset,
-        part,
-        policy=policy,
-        rng=rng,
-        max_iterations=max_iterations,
-        hyper_refit_interval=2,
-        batch_size=batch_size,
-        batch_strategy=strategy,
+    config.setdefault("max_iterations", 16)
+    config.setdefault("hyper_refit_interval", 2)
+    return ActiveLearner(
+        dataset, part, policy=policy, rng=rng, config=ALConfig(**config)
     )
 
 
+def _round_inputs(dataset, batch_size=5):
+    learner = _learner(dataset, MaxSigma(), batch_size=batch_size)
+    learner.start()
+    return learner, learner._candidate_view()
+
+
 class TestValidation:
-    def test_rejects_bad_batch_size(self, small_dataset):
-        with pytest.raises(ValueError):
-            make_batch_learner(small_dataset, MaxSigma(), 0, "independent")
-
-    def test_rejects_unknown_strategy(self, small_dataset):
-        with pytest.raises(ValueError):
-            make_batch_learner(small_dataset, MaxSigma(), 4, "psychic")
+    def test_rejects_bad_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            ALConfig(batch_size=0)
 
 
-@pytest.mark.parametrize("strategy", ["independent", "believer"])
 class TestBatchMechanics:
-    def test_selects_max_iterations_samples(self, small_dataset, strategy):
-        traj = make_batch_learner(
-            small_dataset, RandGoodness(), 4, strategy, max_iterations=12
+    @pytest.mark.parametrize("samples", [12, 10])
+    def test_selects_max_iterations_samples(self, small_dataset, samples):
+        """``max_iterations`` counts samples: the last round is trimmed."""
+        traj = _learner(
+            small_dataset, RandGoodness(), batch_size=4, max_iterations=samples
         ).run()
-        assert len(traj) == 12
+        assert len(traj) == samples
         assert traj.stop_reason == StopReason.MAX_ITERATIONS
+        assert [r.iteration for r in traj.records] == list(range(samples))
 
-    def test_no_duplicate_selections(self, small_dataset, strategy):
-        traj = make_batch_learner(
-            small_dataset, RandGoodness(), 4, strategy, max_iterations=16
-        ).run()
+    def test_no_duplicate_selections(self, small_dataset):
+        traj = _learner(small_dataset, RandGoodness(), batch_size=4).run()
         sel = traj.selected_indices
         assert np.unique(sel).size == sel.size
 
-    def test_rmse_constant_within_round(self, small_dataset, strategy):
-        """The model retrains once per round: the recorded RMSE must be
+    def test_rmse_constant_within_round(self, small_dataset):
+        """The models retrain once per round: the recorded RMSE is
         identical across the samples of one batch."""
-        traj = make_batch_learner(
-            small_dataset, MaxSigma(), 4, strategy, max_iterations=8
+        traj = _learner(
+            small_dataset, MaxSigma(), batch_size=4, max_iterations=8
         ).run()
         rmse = traj.rmse_cost
         assert rmse[0] == rmse[1] == rmse[2] == rmse[3]
         assert rmse[4] == rmse[5] == rmse[6] == rmse[7]
 
-    def test_policy_name_tagged(self, small_dataset, strategy):
-        traj = make_batch_learner(small_dataset, MaxSigma(), 3, strategy).run()
-        assert traj.policy_name == "max_sigma_batch3"
-
-    def test_batch_size_one_reduces_to_sequential_count(self, small_dataset, strategy):
-        traj = make_batch_learner(
-            small_dataset, RandGoodness(), 1, strategy, max_iterations=5
-        ).run()
-        assert len(traj) == 5
+    @pytest.mark.parametrize("policy", [RandGoodness, MaxSigma])
+    def test_batch_size_one_reduces_to_sequential_count(self, small_dataset, policy):
+        """At B=1 every round is one sample, as in the sequential loop."""
+        learner = _learner(small_dataset, policy(), batch_size=1, max_iterations=5)
+        learner.start()
+        rounds = 0
+        while learner.step():
+            rounds += 1
+            assert len(learner.records) == rounds
+        assert rounds == 5
 
 
 class TestInBatchDiversity:
     def test_independent_maxsigma_takes_top_k(self, small_dataset):
-        """For a deterministic policy the independent strategy is top-k of
-        the acquisition: the picks must be k distinct candidates."""
-        learner = make_batch_learner(small_dataset, MaxSigma(), 5, "independent")
-        learner._fit_models(optimize=True)
-        picks = learner._select_batch()
-        assert len(set(picks)) == 5
+        """Without a conditioner a deterministic policy's round is top-k of
+        its acquisition."""
+        learner, view = _round_inputs(small_dataset)
+        picks = select_round(
+            learner.policy, view, learner.rng, num_points=len(view), batch_size=5
+        )
+        top = np.argsort(-view.sigma_cost, kind="stable")[:5]
+        assert [p for p, _ in picks] == top.tolist()
+        assert all(f == 0 for _, f in picks)
+
+    def test_independent_round_has_no_duplicates(self, small_dataset):
+        """A randomized policy never draws one point twice in a round."""
+        learner, view = _round_inputs(small_dataset)
+        picks = select_round(
+            RandGoodness(), view, learner.rng, num_points=len(view), batch_size=len(view)
+        )
+        assert len(picks) == len(view)
+        assert len({p for p, _ in picks}) == len(view)
 
     def test_believer_diversifies_maxsigma(self, small_dataset):
-        """The believer's collapsed variance must steer later in-batch picks
-        away from the first pick's neighborhood (at minimum: distinct)."""
-        learner = make_batch_learner(small_dataset, MaxSigma(), 5, "believer")
-        learner._fit_models(optimize=True)
-        picks = learner._select_batch()
-        assert len(set(picks)) == 5
+        """Each pseudo-observation collapses sigma at its pick and never
+        raises it elsewhere, so MaxSigma's picks spread out."""
+        learner, view = _round_inputs(small_dataset)
+        condition = learner._believer(view)
+        pos = int(np.argmax(view.sigma_cost))
+        sigma = condition(pos, 0)
+        assert sigma[pos] < 0.5 * view.sigma_cost[pos]
+        assert np.all(sigma <= view.sigma_cost + 1e-9)
+        picks = select_round(
+            learner.policy,
+            view,
+            learner.rng,
+            num_points=len(view),
+            batch_size=5,
+            condition=learner._believer(view),
+        )
+        assert len({p for p, _ in picks}) == 5
 
     def test_believer_restores_true_model(self, small_dataset):
-        """Pseudo-observations must not leak into the post-round model."""
-        learner = make_batch_learner(small_dataset, MaxSigma(), 4, "believer")
-        learner._fit_models(optimize=True)
-        n_train_before = learner.gpr_cost.X_train_.shape[0]
-        learner._select_batch()
-        assert learner.gpr_cost.X_train_.shape[0] == n_train_before
+        """Pseudo-observations never leak into the post-round model."""
+        learner, _ = _round_inputs(small_dataset, batch_size=4)
+        assert learner.step()
+        X, y = learner._training_set(memory=False)
+        np.testing.assert_array_equal(learner.gpr_cost.X_train_, X)
+        np.testing.assert_array_equal(learner.gpr_cost.y_train_, y)
+        assert X.shape[0] == learner.partition.n_init + 4
 
 
 class TestBatchRGMA:
     def test_rgma_batch_respects_limit(self, small_dataset):
         lmem = small_dataset.memory_limit()
-        traj = make_batch_learner(
-            small_dataset, RGMA(memory_limit_MB=lmem), 4, "independent", max_iterations=24
+        traj = _learner(
+            small_dataset,
+            RGMA(memory_limit_MB=lmem),
+            batch_size=4,
+            max_iterations=24,
         ).run()
         assert np.sum(traj.mems >= lmem) <= 2
 
     def test_rgma_batch_early_termination(self, small_dataset):
         tiny = float(small_dataset.mem.min()) * 0.5
-        traj = make_batch_learner(
-            small_dataset, RGMA(memory_limit_MB=tiny), 4, "independent", max_iterations=40
+        traj = _learner(
+            small_dataset,
+            RGMA(memory_limit_MB=tiny),
+            batch_size=4,
+            max_iterations=40,
         ).run()
         assert traj.stop_reason == StopReason.MEMORY_CONSTRAINED
 
 
 class TestBatchVsSequentialTradeoff:
     def test_fewer_rounds_than_samples(self, small_dataset):
-        learner = make_batch_learner(small_dataset, RandGoodness(), 8, "independent")
-        assert learner.num_rounds_estimate < learner.partition.n_active
+        learner = _learner(
+            small_dataset, RandGoodness(), batch_size=8, max_iterations=24
+        )
+        learner.start()
+        rounds = 0
+        while learner.step():
+            rounds += 1
+        assert rounds == 3
+        assert len(learner.records) == 24
 
     def test_batch_model_still_learns(self, small_dataset):
-        traj = make_batch_learner(
-            small_dataset, MaxSigma(), 4, "independent", max_iterations=24, seed=3
+        traj = _learner(
+            small_dataset, MaxSigma(), seed=3, batch_size=4, max_iterations=24
         ).run()
         assert traj.final_rmse_cost < traj.initial_rmse_cost * 1.5

@@ -1,11 +1,15 @@
-"""Batch multi-fidelity portfolio selection (repro.core.portfolio).
+"""Batch multi-fidelity rounds of the one AL loop.
 
-Property tests (hypothesis, derandomized) pin the two DESIGN.md batch
-invariants — every emitted batch is budget-feasible on predicted cost,
-and B=1 selection equals sequential RGMA draw-for-draw — and the
-learner-level tests pin the F=1/B=1 reduction to the base
-:class:`ActiveLearner` plus the multi-fidelity bookkeeping.
+Property tests (hypothesis, derandomized) pin the greedy round
+(:func:`repro.core.loop.select_round`): every emitted batch is
+budget-feasible on predicted cost, never violates the memory mask, and
+one pick at one fidelity equals sequential RGMA draw-for-draw.  The
+learner-level tests pin the F=1/B=1 reduction of :class:`ActiveLearner`
+to sequential RGMA and the multi-fidelity bookkeeping; the single-rung
+batch mechanics are in ``test_batch_selection.py``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,13 +19,13 @@ from hypothesis import strategies as st
 from repro.core import (
     ActiveLearner,
     ALConfig,
-    MultiFidelityActiveLearner,
-    PortfolioCandidateView,
     PortfolioPolicy,
+    RandGoodness,
     RGMA,
     StopReason,
     random_partition,
 )
+from repro.core.loop import select_round
 from repro.core.policies import CandidateView
 from repro.data import MultiFidelityDataset, default_schedule
 from repro.machine.accounting import CampaignLedger
@@ -30,19 +34,17 @@ MEM_LIMIT_MB = 100.0  # log10 = 2.0
 
 
 def _view(rng, F, m, mem_high_frac=0.0):
-    """A synthetic portfolio view over ``m`` candidates at ``F`` rungs."""
-    mu_mem = rng.uniform(0.0, 1.5, size=(F, m))
+    """A synthetic fidelity-major view over ``m`` candidates at ``F`` rungs."""
+    mu_mem = rng.uniform(0.0, 1.5, size=F * m)
     n_high = int(mem_high_frac * F * m)
     if n_high:
-        flat = rng.choice(F * m, size=n_high, replace=False)
-        mu_mem.reshape(-1)[flat] = 3.0  # over the log10 limit of 2.0
-    return PortfolioCandidateView(
-        X=rng.uniform(size=(m, 3)),
-        mu_cost=rng.uniform(-2.0, 1.0, size=(F, m)),
-        sigma_cost=rng.uniform(0.01, 1.0, size=(F, m)),
+        mu_mem[rng.choice(F * m, size=n_high, replace=False)] = 3.0  # > limit
+    return CandidateView(
+        X=np.tile(rng.uniform(size=(m, 3)), (F, 1)),
+        mu_cost=rng.uniform(-2.0, 1.0, size=F * m),
+        sigma_cost=rng.uniform(0.01, 1.0, size=F * m),
         mu_mem=mu_mem,
-        weights=np.abs(rng.uniform(0.2, 1.5, size=F)),
-        blocked=np.zeros((F, m), dtype=bool),
+        sigma_mem=np.full(F * m, 0.1),
     )
 
 
@@ -62,10 +64,10 @@ class TestBudgetFeasibility:
         view = _view(rng, F, m)
         ledger = CampaignLedger(budget_node_hours=budget)
         policy = PortfolioPolicy(memory_limit_MB=MEM_LIMIT_MB)
-        picks = policy.select_batch(
-            view, rng, ledger=ledger, batch_size=batch
+        picks = select_round(
+            policy, view, rng, num_points=m, batch_size=batch, ledger=ledger
         )
-        predicted = sum(10.0 ** view.mu_cost[f, i] for i, f in picks)
+        predicted = sum(10.0 ** view.mu_cost[f * m + i] for i, f in picks)
         assert predicted <= budget + 1e-12
         assert ledger.remaining_node_hours >= -1e-12
         # At most one observation per design point per round.
@@ -78,40 +80,54 @@ class TestBudgetFeasibility:
         rng = np.random.default_rng(seed)
         view = _view(rng, F, m, mem_high_frac=0.5)
         policy = PortfolioPolicy(memory_limit_MB=MEM_LIMIT_MB)
-        picks = policy.select_batch(view, rng, batch_size=F * m)
+        picks = select_round(policy, view, rng, num_points=m, batch_size=F * m)
         for i, f in picks:
-            assert view.mu_mem[f, i] < policy.log_limit
+            assert view.mu_mem[f * m + i] < policy.log_limit
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 10_000), F=st.integers(2, 3), m=st.integers(1, 20))
+    def test_blocked_pairs_never_picked(self, seed, F, m):
+        rng = np.random.default_rng(seed)
+        view = _view(rng, F, m)
+        blocked = rng.uniform(size=F * m) < 0.5
+        blocked[(F - 1) * m :] = False  # the top rung stays open
+        picks = select_round(
+            RandGoodness(), view, rng, num_points=m, batch_size=m, blocked=blocked
+        )
+        assert len(picks) == m
+        for i, f in picks:
+            assert not blocked[f * m + i]
 
     def test_infeasible_budget_returns_empty(self, rng):
         view = _view(rng, 2, 6)
         ledger = CampaignLedger(budget_node_hours=1e-9)
         policy = PortfolioPolicy(memory_limit_MB=MEM_LIMIT_MB)
-        assert policy.select_batch(view, rng, ledger=ledger, batch_size=3) == []
+        assert select_round(
+            policy, view, rng, num_points=6, batch_size=3, ledger=ledger
+        ) == []
 
 
 class TestSequentialReduction:
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 10_000), m=st.integers(1, 30))
-    def test_b1_f1_equals_rgma_draw_for_draw(self, seed, m):
-        rng = np.random.default_rng(seed)
-        view = _view(rng, 1, m, mem_high_frac=0.3)
-        flat = CandidateView(
-            X=view.X,
-            mu_cost=view.mu_cost[0],
-            sigma_cost=view.sigma_cost[0] * view.weights[0],
-            mu_mem=view.mu_mem[0],
-            sigma_mem=np.full(m, 0.1),
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 30),
+        budget=st.sampled_from([None, 1e9]),
+    )
+    def test_b1_f1_equals_rgma_draw_for_draw(self, seed, m, budget):
+        view = _view(np.random.default_rng(seed), 1, m, mem_high_frac=0.3)
+        rgma_rng = np.random.default_rng(seed + 1)
+        round_rng = np.random.default_rng(seed + 1)
+        pos = RGMA(memory_limit_MB=MEM_LIMIT_MB).select(view, rgma_rng)
+        picks = select_round(
+            PortfolioPolicy(memory_limit_MB=MEM_LIMIT_MB),
+            view,
+            round_rng,
+            num_points=m,
+            ledger=None if budget is None else CampaignLedger(budget_node_hours=budget),
         )
-        rgma = RGMA(memory_limit_MB=MEM_LIMIT_MB)
-        portfolio = PortfolioPolicy(memory_limit_MB=MEM_LIMIT_MB)
-        pos = rgma.select(flat, np.random.default_rng(seed + 1))
-        picks = portfolio.select_batch(
-            view, np.random.default_rng(seed + 1), batch_size=1
-        )
-        if pos is None:
-            assert picks == []
-        else:
-            assert picks == [(pos, 0)]
+        assert picks == ([] if pos is None else [(pos, 0)])
+        assert rgma_rng.bit_generator.state == round_rng.bit_generator.state
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +152,11 @@ class TestMultiFidelityLearner:
             config=cfg,
         )
         tb = base.run()
-        mf = MultiFidelityActiveLearner(
-            small_dataset, part, rng=np.random.default_rng(21), config=cfg
+        mf = ActiveLearner(
+            small_dataset,
+            part,
+            rng=np.random.default_rng(21),
+            config=dataclasses.replace(cfg, policy="portfolio"),
         )
         tm = mf.run()
         np.testing.assert_array_equal(tb.selected_indices, tm.selected_indices)
@@ -155,20 +174,23 @@ class TestMultiFidelityLearner:
             batch_size=4,
             round_budget_node_hours=0.5,
         )
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_small, part, rng=np.random.default_rng(3), config=cfg
         )
         traj = learner.run()
+        assert traj.policy_name == "portfolio"
         fids = [r.fidelity for r in traj.records]
         assert set(fids) <= {0, 1}
         assert 0 in fids  # the coarse rung is actually used
         # No (point, fidelity) pair observed twice.
         pairs = [(r.dataset_index, r.fidelity) for r in traj.records]
         assert len(pairs) == len(set(pairs))
-        # Ledger committed == sum of actual per-pick costs.
-        assert learner.ledger.committed_node_hours == pytest.approx(
+        # Node-hours spent == sum of actual per-pick costs at their rung.
+        assert learner.cumulative_cost_spent == pytest.approx(
             sum(r.cost for r in traj.records)
         )
+        for r in traj.records:
+            assert r.cost == mf_small.cost[r.fidelity, r.dataset_index]
 
     def test_budget_exhaustion_stop_reason(self, mf_small):
         part = random_partition(
@@ -177,7 +199,7 @@ class TestMultiFidelityLearner:
         cfg = ALConfig(
             num_fidelities=2, batch_size=2, round_budget_node_hours=1e-9
         )
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_small, part, rng=np.random.default_rng(3), config=cfg
         )
         traj = learner.run()
@@ -188,7 +210,7 @@ class TestMultiFidelityLearner:
         part = random_partition(
             np.random.default_rng(2), len(mf_small.base), n_init=20, n_test=40
         )
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_small,
             part,
             rng=np.random.default_rng(3),
@@ -198,27 +220,41 @@ class TestMultiFidelityLearner:
         assert learner.config.num_fidelities == 2
         assert learner.config.fidelity_schedule == ((4, 1), (1, 0))
 
-    def test_plain_dataset_rejected_for_f2(self, small_dataset):
+    def test_plain_dataset_priced_for_f2(self, small_dataset, mf_small):
         part = random_partition(
             np.random.default_rng(2), len(small_dataset), n_init=20, n_test=40
         )
-        with pytest.raises(ValueError, match="MultiFidelityDataset"):
-            MultiFidelityActiveLearner(
-                small_dataset,
-                part,
-                rng=np.random.default_rng(3),
-                config=ALConfig(num_fidelities=2),
-            )
+        learner = ActiveLearner(
+            small_dataset,
+            part,
+            rng=np.random.default_rng(3),
+            config=ALConfig(num_fidelities=2, max_iterations=2),
+        )
+        np.testing.assert_array_equal(learner.mf.cost, mf_small.cost)
+        np.testing.assert_array_equal(learner.mf.mem, mf_small.mem)
+        assert learner.config.surrogate == "multifidelity"
 
-    def test_policy_without_select_batch_rejected(self, mf_small):
+    def test_any_policy_drives_portfolio_rounds(self, mf_small):
+        """Rounds go through the ordinary ``select``: plain RGMA works."""
         part = random_partition(
             np.random.default_rng(2), len(mf_small.base), n_init=20, n_test=40
         )
-        with pytest.raises(ValueError, match="select_batch"):
-            MultiFidelityActiveLearner(
-                mf_small,
-                part,
-                policy=RGMA(memory_limit_MB=mf_small.memory_limit()),
-                rng=np.random.default_rng(3),
-                config=ALConfig(num_fidelities=2),
-            )
+        traj = ActiveLearner(
+            mf_small,
+            part,
+            policy=RGMA(memory_limit_MB=mf_small.memory_limit()),
+            rng=np.random.default_rng(3),
+            config=ALConfig(num_fidelities=2, batch_size=3, max_iterations=9),
+        ).run()
+        assert traj.policy_name == "rgma"
+        assert len(traj) == 9
+
+    def test_faults_and_zero_refit_need_the_sequential_loop(self):
+        from repro.faults.acquisition import AcquisitionFaultModel
+
+        faults = AcquisitionFaultModel(crash_probability=0.5)
+        with pytest.raises(ValueError, match="fault"):
+            ALConfig(acquisition_faults=faults, batch_size=2)
+        with pytest.raises(ValueError, match="zero-refit"):
+            ALConfig(policy="amortized", num_fidelities=2)
+        ALConfig(acquisition_faults=faults)  # sequential: fine

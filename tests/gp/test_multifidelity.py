@@ -142,24 +142,6 @@ class TestCoKrigingStack:
         assert not np.allclose(lo, hi)
         np.testing.assert_array_equal(hi, mf.predict(Xq))
 
-    def test_prior_cov_and_var_fidelity(self, rng):
-        X, y, *_ = _mf_data(rng)
-        mf = MultiFidelityGPRegressor(
-            num_fidelities=2, n_restarts=0, rng=np.random.default_rng(1)
-        ).fit(X, y)
-        Xq = rng.uniform(0.0, 1.0, size=(6, 2))
-        x_star = Xq[0]
-        for fq in (0, 1):
-            for fs in (0, 1):
-                c = mf.prior_cov_fidelity(Xq, fq, x_star, fs)
-                assert c.shape == (6,)
-        var = mf.prior_var_fidelity(x_star, 1)
-        assert var > 0
-        # Cauchy-Schwarz sanity: |cov| <= sqrt(var_q * var_s).
-        c = mf.prior_cov_fidelity(Xq, 1, x_star, 1)
-        vq = np.array([mf.prior_var_fidelity(xq, 1) for xq in Xq])
-        assert np.all(np.abs(c) <= np.sqrt(vq * var) + 1e-9)
-
     def test_fit_requires_rows_at_every_level(self, rng):
         X_lo = rng.uniform(size=(10, 2))
         X = np.column_stack([X_lo, np.zeros(10)])  # no top-fidelity rows

@@ -272,44 +272,19 @@ class TestRegistrySelectors:
         assert "key=value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value,surrogate",
+        "flag,value",
         [
-            ("--n-inducing", "16", "sparse"),
-            ("--exact-lml-max-n", "50", "iterative"),
+            ("--policy-file", "policy.npz"),
+            ("--policy-epsilon", "0.1"),
+            ("--n-inducing", "16"),
+            ("--exact-lml-max-n", "50"),
         ],
     )
-    def test_legacy_surrogate_flags_warn_once(
-        self, tmp_path, capsys, flag, value, surrogate
-    ):
-        csv = tmp_path / "d.csv"
-        main(["dataset", "--out", str(csv)])
-        with pytest.warns(DeprecationWarning, match=flag) as record:
-            rc = main(
-                ["run", "--dataset", str(csv), "--surrogate", surrogate,
-                 flag, value, "--iterations", "2",
-                 "--n-init", "20", "--n-test", "40"]
-            )
-        assert rc == 0
-        ours = [w for w in record if flag in str(w.message)]
-        assert len(ours) == 1
-        # The warning names the replacement selector spelling.
-        assert "--surrogate" in str(ours[0].message)
-
-    @pytest.mark.parametrize("flag", ["--policy-file", "--policy-epsilon"])
-    def test_legacy_amortized_flags_warn_once(self, tmp_path, capsys, flag):
-        csv = tmp_path / "d.csv"
-        main(["dataset", "--out", str(csv)])
-        pf = _train_policy_file(tmp_path)
-        argv = ["run", "--dataset", str(csv), "--policy", "amortized",
-                "--iterations", "2", "--n-init", "20", "--n-test", "40",
-                "--policy-file", pf]
-        if flag == "--policy-epsilon":
-            argv += ["--policy-epsilon", "0.1"]
-        with pytest.warns(DeprecationWarning, match=flag) as record:
-            assert main(argv) == 0
-        ours = [w for w in record if flag in str(w.message)]
-        assert len(ours) == 1
-        assert "--policy amortized," in str(ours[0].message)
+    def test_retired_flags_rejected(self, capsys, flag, value):
+        """The per-option spellings are gone: ``NAME,key=value`` only."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, value])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMultiFidelityCLI:
@@ -365,8 +340,8 @@ class TestAmortizedCLI:
         pf = _train_policy_file(tmp_path)
         capsys.readouterr()
         rc = main(
-            ["run", "--dataset", str(csv), "--policy", "amortized",
-             "--policy-file", pf, "--iterations", "3",
+            ["run", "--dataset", str(csv),
+             "--policy", f"amortized,policy_file={pf}", "--iterations", "3",
              "--n-init", "20", "--n-test", "30"]
         )
         assert rc == 0
@@ -383,7 +358,7 @@ class TestAmortizedCLI:
              "--policy", "amortized", "--iterations", "3"]
         )
         assert rc == 2
-        assert "--policy-file" in capsys.readouterr().err
+        assert "policy_file=PATH" in capsys.readouterr().err
 
     def test_submit_and_serve_amortized(
         self, tmp_path, capsys, service_dataset_csv
@@ -393,7 +368,7 @@ class TestAmortizedCLI:
         rc = main(
             ["campaign", "submit", "--store", store,
              "--dataset", service_dataset_csv, "--id", "a0",
-             "--policy", "amortized", "--policy-file", pf,
+             "--policy", f"amortized,policy_file={pf}",
              "--n-init", "20", "--n-test", "30", "--iterations", "4"]
         )
         assert rc == 0
