@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
 from repro import obs
-from repro.amr.batch import PatchStack
+from repro.amr.batch import PatchStack, stack_wave_speeds
 from repro.amr.driver import AmrConfig, AmrDriver
 from repro.amr.shard import ShardedExchange, build_sharded_exchange, shard_weights
 from repro.amr.stats import StepRecord
@@ -50,6 +50,7 @@ from repro.mesh.balance import face_neighbor_leaves
 from repro.mesh.partition import partition_curve
 from repro.mesh.quadrant import Quadrant, quadrant_children
 from repro.solver import kernels
+from repro.solver.fv import _sweep_stack
 from repro.solver.initial_conditions import ShockBubbleProblem
 
 
@@ -58,6 +59,127 @@ def _shard_bounds(assignment: np.ndarray, rank: int) -> tuple[int, int]:
     lo = int(np.searchsorted(assignment, rank, side="left"))
     hi = int(np.searchsorted(assignment, rank, side="right"))
     return lo, hi
+
+
+class _ShardWorkerState:
+    """Per-process state of one shard worker: shared views + programs.
+
+    The parent ships a fresh instance as the pool's init payload; each
+    worker's copy then serves phase commands through :meth:`handle`.
+    """
+
+    def __init__(self) -> None:
+        self.shm = {}  # name -> SharedMemory, kept attached across installs
+        self.q = None
+        self.sx = None
+        self.sy = None
+        self.program = None
+        self.lo = 0
+        self.hi = 0
+        self.dx = None
+        self.cfg = {}
+        self.use_kernels = False
+        self._lib = None
+
+    def _attach(self, name: str):
+        if name not in self.shm:
+            # Attaching registers the segment with the resource tracker
+            # (CPython registers unconditionally), and spawn children share
+            # the parent's tracker process — a worker registration would
+            # later fight the parent's own unlink bookkeeping.  Suppress
+            # registration for the attach; only the creating parent tracks
+            # and unlinks these segments.
+            orig = resource_tracker.register
+
+            def _skip(name_, rtype):  # pragma: no cover - trivial shim
+                if rtype != "shared_memory":
+                    orig(name_, rtype)
+
+            resource_tracker.register = _skip
+            try:
+                seg = shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = orig
+            self.shm[name] = seg
+        return self.shm[name]
+
+    def install(self, payload: dict) -> None:
+        seg = self._attach(payload["q_name"])
+        self.q = np.ndarray(payload["q_shape"], dtype=np.float64, buffer=seg.buf)
+        scratch = self._attach(payload["scratch_name"])
+        cap = payload["scratch_cap"]
+        self.sx = np.ndarray((cap,), dtype=np.float64, buffer=scratch.buf)
+        self.sy = np.ndarray(
+            (cap,), dtype=np.float64, buffer=scratch.buf, offset=cap * 8
+        )
+        self.program = payload["program"]
+        self.lo = payload["lo"]
+        self.hi = payload["hi"]
+        self.dx = payload["dx"]
+        self.cfg = payload["cfg"]
+        self.use_kernels = payload["use_kernels"]
+        if self.use_kernels and self._lib is None:
+            self._lib = kernels.load()
+            if self._lib is None:
+                self.use_kernels = False
+
+    def exchange(self) -> None:
+        self.program.execute(self.q, lib=self._lib if self.use_kernels else None)
+        obs.incr("amr.halo.gather_bytes", self.program.halo_gather_bytes)
+        obs.incr("amr.halo.scatter_bytes", self.program.halo_scatter_bytes)
+        obs.incr("amr.halo.local_bytes", self.program.local_bytes)
+        obs.incr("amr.halo.messages", self.program.halo_messages)
+        obs.incr("amr.shard.exchanges")
+
+    def sweep(self, axis: int, dt: float, with_speeds: bool = False) -> None:
+        if self.hi <= self.lo:  # a shard can own zero patches (W > P)
+            return
+        rows = self.q[self.lo : self.hi]
+        dt_dx = dt / self.dx
+        cfg = self.cfg
+        if self.use_kernels:
+            kernels.fused_sweep(
+                rows, dt_dx, cfg["ng"], axis,
+                cfg["riemann"], cfg["limiter"], cfg["gamma"],
+            )
+        else:
+            _sweep_stack(
+                rows, dt_dx, cfg["ng"], "x" if axis == 0 else "y",
+                cfg["riemann"], cfg["limiter"], cfg["gamma"],
+            )
+        if with_speeds:
+            # Piggyback the next step's CFL wave speeds on the final sweep
+            # phase: saves one pool round-trip per step, and the values are
+            # identical to a dedicated phase (same post-step interiors).
+            self.speeds()
+
+    def speeds(self) -> None:
+        if self.hi <= self.lo:
+            return
+        rows = self.q[self.lo : self.hi]
+        ng, gamma = self.cfg["ng"], self.cfg["gamma"]
+        if self.use_kernels:
+            kernels.wave_speeds(
+                rows, ng, gamma, self.sx[self.lo : self.hi],
+                self.sy[self.lo : self.hi],
+            )
+        else:
+            sx, sy = stack_wave_speeds(rows[:, :, ng:-ng, ng:-ng], gamma)
+            self.sx[self.lo : self.hi] = sx
+            self.sy[self.lo : self.hi] = sy
+
+    def handle(self, cmd: str, payload):
+        if cmd == "install":
+            with obs.span("shard_install", cat="amr"):
+                self.install(payload)
+        elif cmd == "exchange":
+            self.exchange()
+        elif cmd == "sweep":
+            self.sweep(*payload)
+        elif cmd == "speeds":
+            self.speeds()
+        else:
+            raise ValueError(f"unknown shard command {cmd!r}")
 
 
 class ParallelAmrDriver(AmrDriver):
@@ -323,7 +445,8 @@ class ParallelAmrDriver(AmrDriver):
     def drain_observability(self) -> None:
         """Merge worker-side spans/counters home, one lane per shard."""
         if self._pool is not None:
-            self._pool.drain_observability()
+            for rank, payload in enumerate(self._pool.broadcast("obs")):
+                obs.merge_state(payload, track=rank + 1)
 
     def close(self) -> None:
         """Stop the workers and release every shared segment; idempotent.
@@ -336,7 +459,7 @@ class ParallelAmrDriver(AmrDriver):
         self._closed = True
         if self._pool is not None:
             try:
-                self._pool.drain_observability()
+                self.drain_observability()
             except Exception:  # pragma: no cover - workers already gone
                 pass
             self._pool.close()

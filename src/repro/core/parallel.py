@@ -1,10 +1,18 @@
-"""Parallel execution of independent AL trajectories.
+"""Parallel execution: the one spawn-worker pool and the trajectory runner.
+
+:class:`WorkerPool` is every process pool in the package: spawn-started
+workers with one pipe each, an init payload shipped once per spawn,
+respawn of dead workers and optional per-job deadlines.  The trajectory
+runner, the campaign service (:mod:`repro.core.service`) and the sharded
+AMR driver (:class:`ShardWorkerPool`) each add only their own handler.
 
 The figure benchmarks and the paper's cross-validation run many AL
 trajectories that share nothing but the (read-only) dataset — one per
 (policy, partition seed) pair.  :func:`run_trajectories` fans a list of
-:class:`TrajectorySpec` out over a spawn-safe ``concurrent.futures``
-process pool.
+:class:`TrajectorySpec` out over a :class:`WorkerPool`.  The dataset is
+the pool's init payload, so ``S`` specs on ``W`` workers pickle it ``W``
+times, not ``S`` times.  Policy factories cross the process boundary by
+pickling: classes or :func:`functools.partial`, not lambdas.
 
 Determinism: every spec derives its own ``Generator`` from
 ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))`` — the same
@@ -13,29 +21,20 @@ are identical serial or parallel, at any worker count, and specs with the
 same ``(base_seed, traj_index)`` share a partition (paired comparisons
 across policies).
 
-Spawn-safety: workers are started with the ``spawn`` method (fresh
-interpreters, no inherited locks or BLAS thread state); everything a
-worker needs — a module-level worker function and picklable policy
-factories (classes or :func:`functools.partial`, not lambdas) — crosses
-the process boundary by pickling.  The shared read-only dataset is
-shipped **once per worker** through the pool initializer
-(:func:`_pool_init`) instead of riding along with every submitted spec,
-so submitting ``S`` specs to ``W`` workers pickles the dataset ``W``
-times, not ``S`` times.
-
 Failure isolation: exceptions are caught *inside* the worker and returned
-as :class:`TrajectoryFailure` values, so one trajectory that raises (or a
-worker process that dies outright) never hangs the pool or discards the
-other trajectories' results — see ``run_trajectories(on_error=...)``.
+as :class:`TrajectoryFailure` values, and a worker process that dies
+outright is respawned, so one bad trajectory costs exactly its own
+result — see ``run_trajectories(on_error=...)``.
 """
 
 from __future__ import annotations
 
 import os
+import time
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import connection, get_context
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,75 +103,49 @@ class TrajectoryFailure:
     traceback: str = ""
 
 
-def _run_spec(dataset: Dataset, spec: TrajectorySpec) -> tuple[str, Trajectory]:
-    """Worker body: one fully seeded AL run."""
-    seed_seq = np.random.SeedSequence(
-        entropy=spec.base_seed, spawn_key=(spec.traj_index,)
-    )
-    rng = np.random.default_rng(seed_seq)
-    partition = random_partition(
-        rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
-    )
-    learner = ActiveLearner(
-        dataset,
-        partition,
-        policy=spec.policy_factory(),
-        rng=rng,
-        n_restarts=spec.n_restarts,
-        hyper_refit_interval=spec.hyper_refit_interval,
-        max_iterations=spec.max_iterations,
-        **spec.learner_kwargs,
-    )
-    return spec.name, learner.run()
-
-
-def _run_spec_guarded(
+def _run_spec(
     dataset: Dataset, spec: TrajectorySpec
 ) -> tuple[str, Trajectory | TrajectoryFailure]:
-    """Worker body that converts exceptions into data.
+    """One fully seeded AL run; an exception becomes a TrajectoryFailure.
 
-    Raising across the process boundary would poison ``pool.map`` — every
-    later result is lost and, for unpicklable exceptions, the pool can
-    deadlock.  Catching *inside* the worker makes a failed trajectory an
-    ordinary return value.
+    Catching here, inside the worker, makes a failed trajectory an
+    ordinary result: the serial path honours ``on_error`` the same way,
+    and a worker still ships the failed run's metrics and spans.
     """
     try:
-        return _run_spec(dataset, spec)
+        seed_seq = np.random.SeedSequence(
+            entropy=spec.base_seed, spawn_key=(spec.traj_index,)
+        )
+        rng = np.random.default_rng(seed_seq)
+        partition = random_partition(
+            rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
+        )
+        learner = ActiveLearner(
+            dataset,
+            partition,
+            policy=spec.policy_factory(),
+            rng=rng,
+            n_restarts=spec.n_restarts,
+            hyper_refit_interval=spec.hyper_refit_interval,
+            max_iterations=spec.max_iterations,
+            **spec.learner_kwargs,
+        )
+        return spec.name, learner.run()
     except Exception as exc:  # noqa: BLE001 - the boundary must be total
         return spec.name, TrajectoryFailure(
             name=spec.name, error=repr(exc), traceback=_traceback.format_exc()
         )
 
 
-#: Dataset installed by :func:`_pool_init` in each worker process.
-_POOL_DATASET: Dataset | None = None
+def _serve_spec(dataset: Dataset, cmd: str, spec: TrajectorySpec) -> tuple:
+    """Trajectory-worker handler: run one spec (``cmd`` is always ``"spec"``).
 
-
-def _pool_init(dataset: Dataset, trace_enabled: bool = False) -> None:
-    """Pool initializer: receive the shared dataset once per worker.
-
-    ``trace_enabled`` propagates the parent's tracing switch, so spans
-    recorded inside workers ship home with each result (fresh ``spawn``
-    interpreters start with tracing off regardless of the parent).
-    """
-    global _POOL_DATASET
-    _POOL_DATASET = dataset
-    if trace_enabled:
-        obs.enable_tracing()
-
-
-def _run_spec_pooled(
-    spec: TrajectorySpec,
-) -> tuple[str, Trajectory | TrajectoryFailure, dict]:
-    """Worker entry point reading the dataset shipped by :func:`_pool_init`.
-
-    Returns the guarded result plus this task's observability payload
+    Returns the spec's result plus its observability payload
     (:func:`repro.obs.snapshot_state` with ``reset_after``, so a worker
     running several specs ships each spec's metrics and spans exactly
-    once).  The parent merges payloads in spec order.
+    once).
     """
-    assert _POOL_DATASET is not None, "pool initializer did not run"
-    name, result = _run_spec_guarded(_POOL_DATASET, spec)
+    name, result = _run_spec(dataset, spec)
     return name, result, obs.snapshot_state(reset_after=True)
 
 
@@ -181,18 +154,184 @@ def default_workers(n_jobs: int) -> int:
     return max(1, min(n_jobs, os.cpu_count() or 1))
 
 
+def _worker_main(conn, rank: int, handler: Callable, trace_enabled: bool) -> None:
+    """Entry point of every spawned worker (must be importable).
+
+    The first message is the pool's init payload; the worker keeps it as
+    its state and answers ``("ok", rank)``.  After that every message is
+    ``(cmd, payload)``: ``ping`` answers the rank, ``obs`` ships and resets
+    this process's metrics and spans, and any other command replies
+    ``("ok", handler(state, cmd, payload))``.  A handler that raises
+    replies ``("error", (repr, traceback))`` and the worker keeps serving.
+    The worker exits once the parent's end of the pipe is closed — by
+    :meth:`WorkerPool.close`, or when a pool nobody closed is collected.
+    """
+    if trace_enabled:
+        obs.enable_tracing()
+    try:
+        state = conn.recv()
+        conn.send(("ok", rank))
+        while True:
+            cmd, payload = conn.recv()
+            try:
+                if cmd == "ping":
+                    value = rank
+                elif cmd == "obs":
+                    value = obs.snapshot_state(reset_after=True)
+                else:
+                    value = handler(state, cmd, payload)
+                conn.send(("ok", value))
+            except Exception as exc:  # noqa: BLE001 - report, never kill the pipe
+                conn.send(("error", (repr(exc), _traceback.format_exc())))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
+
+
+@dataclass
+class Worker:
+    """One spawned worker: its process, its pipe and the job it runs."""
+
+    rank: int
+    proc: object = None
+    conn: object = None
+    job: object = None
+    deadline: float | None = None
+
+
+class WorkerPool:
+    """``num_workers`` spawn-started workers, one pipe each.
+
+    Each worker runs ``handler(state, cmd, payload)`` — a picklable
+    module-level function — on its copy of ``init`` (for example the
+    shared dataset), which ships once per spawn in the handshake, never
+    with a job.  Workers are expendable: one that dies mid-job, or
+    overruns the deadline its job was submitted with, is respawned in
+    place by :meth:`wait`, and only that job is lost.  ``name`` prefixes
+    the process names.
+    """
+
+    def __init__(self, num_workers: int, handler: Callable, init, name: str) -> None:
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self._ctx = get_context("spawn")
+        self._handler = handler
+        self._init = init
+        self._name = name
+        self.workers = [Worker(rank) for rank in range(num_workers)]
+        # Start every interpreter before the first handshake so their
+        # imports overlap.
+        for worker in self.workers:
+            self._start(worker)
+        for worker in self.workers:
+            self._handshake(worker)
+
+    def _start(self, worker: Worker) -> None:
+        parent_conn, child_conn = self._ctx.Pipe()
+        worker.proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, worker.rank, self._handler, obs.tracing_enabled()),
+            daemon=True,
+            name=f"{self._name}-{worker.rank}",
+        )
+        worker.proc.start()
+        child_conn.close()
+        worker.conn = parent_conn
+
+    def _handshake(self, worker: Worker) -> None:
+        try:
+            worker.conn.send(self._init)
+            worker.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(f"{worker.proc.name} died during start-up") from exc
+
+    def _respawn(self, worker: Worker) -> int | None:
+        """Replace a dead or condemned worker; returns the old exit code."""
+        worker.conn.close()
+        worker.proc.terminate()  # a no-op on a dead process
+        worker.proc.join(timeout=5.0)
+        code = worker.proc.exitcode
+        self._start(worker)
+        self._handshake(worker)
+        return code
+
+    def idle(self) -> list[Worker]:
+        return [w for w in self.workers if w.job is None]
+
+    def busy(self) -> list[Worker]:
+        return [w for w in self.workers if w.job is not None]
+
+    def submit(
+        self, worker: Worker, job, cmd: str, payload, deadline: float | None = None
+    ) -> None:
+        """Send ``(cmd, payload)`` to an idle worker, tagged with ``job``.
+
+        ``deadline`` is a :func:`time.monotonic` instant after which
+        :meth:`wait` kills the worker and reports the job as overdue.
+        """
+        worker.conn.send((cmd, payload))
+        worker.job = job
+        worker.deadline = deadline
+
+    def wait(self) -> list[tuple[Worker, object, str, object]]:
+        """Block until some busy worker replies, dies or overruns its deadline.
+
+        Returns ``(worker, job, status, value)`` events in rank order.
+        ``status`` is the worker's reply (``"ok"`` with the handler's value,
+        ``"error"`` with ``(repr, traceback)``), ``"died"`` when the pipe hit
+        EOF, or ``"deadline"``; the last two carry ``(message, "")`` and the
+        worker has already been respawned.  Every reported worker is idle.
+        """
+        busy = self.busy()
+        deadlines = [w.deadline for w in busy if w.deadline is not None]
+        timeout = None
+        if deadlines:
+            timeout = max(0.0, min(deadlines) - time.monotonic())
+        ready = connection.wait([w.conn for w in busy], timeout)
+        now = time.monotonic()
+        events = []
+        for worker in busy:
+            job = worker.job
+            if worker.conn in ready:
+                try:
+                    status, value = worker.conn.recv()
+                except (EOFError, OSError):
+                    code = self._respawn(worker)
+                    status = "died"
+                    value = (f"{self._name}-{worker.rank} died (exit code {code})", "")
+            elif worker.deadline is not None and now >= worker.deadline:
+                self._respawn(worker)
+                status = "deadline"
+                value = (f"{self._name}-{worker.rank} killed at its deadline", "")
+            else:
+                continue
+            worker.job = worker.deadline = None
+            events.append((worker, job, status, value))
+        return events
+
+    def close(self) -> None:
+        """Shut every worker down, terminating busy ones; safe to call twice."""
+        for worker in self.workers:
+            worker.conn.close()  # an idle worker exits on EOF
+            if worker.job is not None:
+                # Mid-job: its reply would be discarded anyway.
+                worker.proc.terminate()
+        for worker in self.workers:
+            worker.proc.join(timeout=2.0)
+            worker.proc.terminate()  # a no-op unless the worker is stuck
+        self.workers = []
+
+
 # --------------------------------------------------------------------------
 # Persistent shard workers (parallel AMR)
 #
-# run_trajectories' pool fans out *independent* jobs; the sharded AMR driver
-# (repro.amr.parallel) instead needs a persistent, synchronously-phased crew:
-# every worker owns a contiguous slice of one shared-memory PatchStack and
-# must run the same phase (exchange / sweep / wave speeds) before any worker
-# may start the next.  There is deliberately no OS barrier primitive here —
-# the parent IS the barrier: it broadcasts a phase command down one pipe per
-# worker and collects every reply before issuing the next phase, which on
-# measured hardware costs a fraction of a multiprocessing.Barrier cycle and
-# keeps all failure handling in one place.
+# The sharded AMR driver (repro.amr.parallel) needs a persistent,
+# synchronously-phased crew: every worker owns a contiguous slice of one
+# shared-memory PatchStack and must run the same phase (exchange / sweep /
+# wave speeds) before any worker may start the next.  There is deliberately
+# no OS barrier primitive here — the parent IS the barrier: it sends a phase
+# command to every worker and collects every reply before issuing the next
+# phase, which on measured hardware costs a fraction of a
+# multiprocessing.Barrier cycle and keeps all failure handling in one place.
 # --------------------------------------------------------------------------
 
 
@@ -200,262 +339,46 @@ class ShardWorkerError(RuntimeError):
     """A shard worker raised (or died) during a phase."""
 
 
-class _ShardWorkerState:
-    """Per-process state of one shard worker: shared views + programs."""
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.shm = {}  # name -> SharedMemory, kept attached across installs
-        self.q = None
-        self.sx = None
-        self.sy = None
-        self.program = None
-        self.lo = 0
-        self.hi = 0
-        self.dx = None
-        self.cfg = {}
-        self.use_kernels = False
-        self._lib = None
-
-    def _attach(self, name: str):
-        from multiprocessing import resource_tracker, shared_memory
-
-        if name not in self.shm:
-            # Attaching registers the segment with the resource tracker
-            # (CPython registers unconditionally), and spawn children share
-            # the parent's tracker process — a worker registration would
-            # later fight the parent's own unlink bookkeeping.  Suppress
-            # registration for the attach; only the creating parent tracks
-            # and unlinks these segments.
-            orig = resource_tracker.register
-
-            def _skip(name_, rtype):  # pragma: no cover - trivial shim
-                if rtype != "shared_memory":
-                    orig(name_, rtype)
-
-            resource_tracker.register = _skip
-            try:
-                seg = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = orig
-            self.shm[name] = seg
-        return self.shm[name]
-
-    def install(self, payload: dict) -> None:
-        import numpy as np
-
-        seg = self._attach(payload["q_name"])
-        self.q = np.ndarray(payload["q_shape"], dtype=np.float64, buffer=seg.buf)
-        scratch = self._attach(payload["scratch_name"])
-        cap = payload["scratch_cap"]
-        self.sx = np.ndarray((cap,), dtype=np.float64, buffer=scratch.buf)
-        self.sy = np.ndarray(
-            (cap,), dtype=np.float64, buffer=scratch.buf, offset=cap * 8
-        )
-        self.program = payload["program"]
-        self.lo = payload["lo"]
-        self.hi = payload["hi"]
-        self.dx = payload["dx"]
-        self.cfg = payload["cfg"]
-        self.use_kernels = payload["use_kernels"]
-        if self.use_kernels and self._lib is None:
-            from repro.solver import kernels
-
-            self._lib = kernels.load()
-            if self._lib is None:
-                self.use_kernels = False
-
-    def exchange(self) -> None:
-        self.program.execute(self.q, lib=self._lib if self.use_kernels else None)
-        obs.incr("amr.halo.gather_bytes", self.program.halo_gather_bytes)
-        obs.incr("amr.halo.scatter_bytes", self.program.halo_scatter_bytes)
-        obs.incr("amr.halo.local_bytes", self.program.local_bytes)
-        obs.incr("amr.halo.messages", self.program.halo_messages)
-        obs.incr("amr.shard.exchanges")
-
-    def sweep(self, axis: int, dt: float, with_speeds: bool = False) -> None:
-        if self.hi <= self.lo:  # a shard can own zero patches (W > P)
-            return
-        rows = self.q[self.lo : self.hi]
-        dt_dx = dt / self.dx
-        cfg = self.cfg
-        if self.use_kernels:
-            from repro.solver import kernels
-
-            kernels.fused_sweep(
-                rows, dt_dx, cfg["ng"], axis,
-                cfg["riemann"], cfg["limiter"], cfg["gamma"],
-            )
-        else:
-            from repro.solver.fv import _sweep_stack
-
-            _sweep_stack(
-                rows, dt_dx, cfg["ng"], "x" if axis == 0 else "y",
-                cfg["riemann"], cfg["limiter"], cfg["gamma"],
-            )
-        if with_speeds:
-            # Piggyback the next step's CFL wave speeds on the final sweep
-            # phase: saves one pool round-trip per step, and the values are
-            # identical to a dedicated phase (same post-step interiors).
-            self.speeds()
-
-    def speeds(self) -> None:
-        if self.hi <= self.lo:
-            return
-        rows = self.q[self.lo : self.hi]
-        ng, gamma = self.cfg["ng"], self.cfg["gamma"]
-        if self.use_kernels:
-            from repro.solver import kernels
-
-            kernels.wave_speeds(
-                rows, ng, gamma, self.sx[self.lo : self.hi],
-                self.sy[self.lo : self.hi],
-            )
-        else:
-            from repro.amr.batch import stack_wave_speeds
-
-            sx, sy = stack_wave_speeds(rows[:, :, ng:-ng, ng:-ng], gamma)
-            self.sx[self.lo : self.hi] = sx
-            self.sy[self.lo : self.hi] = sy
-
-    def handle(self, cmd: str, payload):
-        if cmd == "install":
-            with obs.span("shard_install", cat="amr", rank=self.rank):
-                self.install(payload)
-            return None
-        if cmd == "exchange":
-            self.exchange()
-            return None
-        if cmd == "sweep":
-            self.sweep(*payload)
-            return None
-        if cmd == "speeds":
-            self.speeds()
-            return None
-        if cmd == "obs":
-            return obs.snapshot_state(reset_after=True)
-        if cmd == "ping":
-            return self.rank
-        raise ValueError(f"unknown shard command {cmd!r}")
-
-
-def _shard_worker_main(conn, rank: int, trace_enabled: bool) -> None:
-    """Entry point of one spawned shard worker (must be importable)."""
-    if trace_enabled:
-        obs.enable_tracing()
-    state = _ShardWorkerState(rank)
-    while True:
-        try:
-            cmd, payload = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        if cmd == "close":
-            conn.send(("ok", None))
-            break
-        try:
-            conn.send(("ok", state.handle(cmd, payload)))
-        except Exception:  # noqa: BLE001 - report, never kill the pipe
-            conn.send(("error", _traceback.format_exc()))
-
-
-class ShardWorkerPool:
-    """A persistent crew of spawn-safe shard workers, phased by the parent.
+class ShardWorkerPool(WorkerPool):
+    """A persistent crew of shard workers, phased by the parent.
 
     Workers hold no hierarchy state of their own beyond what ``install``
     ships (shared-memory names, their shard program and row slice), so the
     pool outlives regrids and repartitions — only ``install`` is re-sent.
-    The parent acts as the phase barrier: :meth:`broadcast` returns only
-    after every worker has replied, so a subsequent phase can never observe
-    a half-finished predecessor.
+    :meth:`broadcast` returns only after every worker has replied, so a
+    subsequent phase can never observe a half-finished predecessor.
     """
 
     def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        ctx = get_context("spawn")
-        self._conns = []
-        self._procs = []
-        for rank in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, rank, obs.tracing_enabled()),
-                daemon=True,
-                name=f"amr-shard-{rank}",
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        self.broadcast("ping")  # handshake: every worker imported and ready
+        # The shard handler is AMR logic and lives with the AMR driver.
+        from repro.amr.parallel import _ShardWorkerState
 
-    def __len__(self) -> int:
-        return len(self._procs)
+        super().__init__(
+            num_workers, _ShardWorkerState.handle, _ShardWorkerState(), "amr-shard"
+        )
 
     def broadcast(self, cmd: str, payload=None) -> list:
         """Send one phase command to every worker; gather every reply."""
-        for conn in self._conns:
-            conn.send((cmd, payload))
-        return self._gather(cmd)
+        return self.scatter(cmd, [payload] * len(self.workers))
 
     def scatter(self, cmd: str, payloads: Sequence) -> list:
         """Send per-worker payloads (e.g. shard-specific install specs)."""
-        if len(payloads) != len(self._conns):
+        if len(payloads) != len(self.workers):
             raise ValueError("need exactly one payload per worker")
-        for conn, payload in zip(self._conns, payloads):
-            conn.send((cmd, payload))
-        return self._gather(cmd)
-
-    def _gather(self, cmd: str) -> list:
-        replies = []
-        errors = []
-        for rank, conn in enumerate(self._conns):
-            try:
-                status, value = conn.recv()
-            except (EOFError, ConnectionResetError) as exc:
-                raise ShardWorkerError(
-                    f"shard worker {rank} died during {cmd!r}: {exc!r}"
-                ) from exc
-            if status == "error":
-                errors.append((rank, value))
-            else:
-                replies.append(value)
+        for worker, payload in zip(self.workers, payloads):
+            self.submit(worker, cmd, cmd, payload)
+        events = []
+        while self.busy():
+            events += self.wait()
+        events.sort(key=lambda event: event[0].rank)
+        errors = [
+            f"[worker {w.rank}] {status}\n{value[1] or value[0]}"
+            for w, _, status, value in events
+            if status != "ok"
+        ]
         if errors:
-            detail = "\n".join(f"[worker {r}]\n{tb}" for r, tb in errors)
-            raise ShardWorkerError(f"shard phase {cmd!r} failed:\n{detail}")
-        return replies
-
-    def drain_observability(self) -> None:
-        """Merge every worker's metrics/spans home, one lane per shard."""
-        for rank, payload in enumerate(self.broadcast("obs")):
-            if payload is not None:
-                obs.merge_state(payload, track=rank + 1)
-
-    def close(self) -> None:
-        """Shut the workers down; safe to call twice."""
-        for conn, proc in zip(self._conns, self._procs):
-            try:
-                if proc.is_alive():
-                    conn.send(("close", None))
-                    if conn.poll(2.0):
-                        conn.recv()
-            except (OSError, BrokenPipeError):
-                pass
-            finally:
-                conn.close()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-        self._conns = []
-        self._procs = []
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            if self._procs:
-                self.close()
-        except Exception:
-            pass
+            raise ShardWorkerError(f"shard phase {cmd!r} failed:\n" + "\n".join(errors))
+        return [value for _, _, _, value in events]
 
 
 def run_trajectories(
@@ -490,43 +413,37 @@ def run_trajectories(
 
     results: list[tuple[str, Trajectory | TrajectoryFailure]]
     if max_workers == 1 or len(spec_list) <= 1:
-        results = [_run_spec_guarded(dataset, s) for s in spec_list]
+        results = [_run_spec(dataset, s) for s in spec_list]
     else:
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=get_context("spawn"),
-            initializer=_pool_init,
-            initargs=(dataset, obs.tracing_enabled()),
-        ) as pool:
-            futures = [pool.submit(_run_spec_pooled, s) for s in spec_list]
-            results = []
-            # Fold worker metrics/spans into this process as each result
-            # drains, in spec order — metric merging is order-independent
-            # (sums; gauges keep the max) and spans land on lane
-            # ``spec_index + 1``, so the merged state is identical for any
-            # worker count or completion order.  Merging *inside* the drain
-            # loop (rather than after it) means a cancellation mid-drain —
-            # KeyboardInterrupt while blocked on a later future — keeps the
-            # observability state every finished trajectory already
-            # shipped, matching how worker/slice failures ship partial
-            # state everywhere else.
-            for i, (spec, fut) in enumerate(zip(spec_list, futures)):
-                try:
-                    name, result, payload = fut.result()
-                    results.append((name, result))
-                except Exception as exc:  # noqa: BLE001
-                    # The worker process itself died (BrokenProcessPool,
-                    # unpicklable result, ...): report, don't hang.  Its
-                    # observability payload died with it.
-                    results.append(
-                        (
-                            spec.name,
-                            TrajectoryFailure(name=spec.name, error=repr(exc)),
-                        )
-                    )
-                    payload = None
-                if payload is not None:
-                    obs.merge_state(payload, track=i + 1)
+        results = [None] * len(spec_list)
+        pending = deque(enumerate(spec_list))
+        pool = WorkerPool(
+            min(max_workers, len(spec_list)), _serve_spec, dataset, "trajectory"
+        )
+        try:
+            while pending or pool.busy():
+                for worker in pool.idle()[: len(pending)]:
+                    i, spec = pending.popleft()
+                    pool.submit(worker, i, "spec", spec)
+                for _, i, status, value in pool.wait():
+                    if status == "ok":
+                        name, result, payload = value
+                        # Spans land on lane ``spec_index + 1`` and metric
+                        # merging is order-independent (sums; gauges keep
+                        # the max), so merging as results arrive gives the
+                        # same state at any worker count.  Merging inside
+                        # the loop keeps what finished specs shipped if a
+                        # later wait is cancelled (KeyboardInterrupt).
+                        obs.merge_state(payload, track=i + 1)
+                    else:
+                        # The handler raised outside the guard, or the
+                        # worker died (respawned already): this spec alone
+                        # fails, and its observability payload is lost.
+                        name = spec_list[i].name
+                        result = TrajectoryFailure(name, *value)
+                    results[i] = (name, result)
+        finally:
+            pool.close()
 
     failures = [t for _, t in results if isinstance(t, TrajectoryFailure)]
     if failures and on_error == "raise":

@@ -42,8 +42,8 @@ module is that long-lived scheduler:
 
 Two execution modes share every scheduling/commit/chaos code path:
 ``workers=0`` runs slices inline (fast, fully deterministic — what the
-property tests drive), ``workers=N`` runs them on ``N`` spawn-safe
-worker processes fed over pipes (what the chaos suite kills).
+property tests drive), ``workers=N`` runs them on the ``N`` processes of
+a :class:`~repro.core.parallel.WorkerPool` (what the chaos suite kills).
 """
 
 from __future__ import annotations
@@ -59,16 +59,15 @@ import traceback as _traceback
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from multiprocessing import connection, get_context
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
-from repro.core.parallel import TrajectoryFailure
+from repro.core.parallel import TrajectoryFailure, WorkerPool
 from repro.core.partitions import random_partition
 from repro.core.trajectory import StopReason, Trajectory
 from repro.data.dataset import Dataset
@@ -355,8 +354,20 @@ class CheckpointStore:
         )
 
     def load(self, campaign_id: str) -> dict:
-        with open(self.path(campaign_id), "rb") as fh:
-            return pickle.load(fh)
+        path = self.path(campaign_id)
+        with open(path, "rb") as fh:
+            try:
+                payload = pickle.load(fh)
+            # Torn or foreign bytes can fail in almost any exception type
+            # (UnpicklingError, EOFError, ValueError, KeyError, ...).
+            except Exception as exc:  # noqa: BLE001
+                raise ServiceError(f"corrupt checkpoint {path}: {exc!r}") from exc
+        if not isinstance(payload, dict):
+            raise ServiceError(
+                f"corrupt checkpoint {path}: holds a {type(payload).__name__}, "
+                "not a checkpoint record"
+            )
+        return payload
 
     def delete(self, campaign_id: str) -> None:
         self.path(campaign_id).unlink(missing_ok=True)
@@ -476,8 +487,10 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
 
     A slice is a pure function of its input checkpoint: restore (or
     cold-start) the learner, advance at most ``job["steps"]`` steps,
-    re-serialize.  Exceptions become :class:`TrajectoryFailure` data —
-    the same raising-across-pipes discipline as
+    re-serialize.  The slice's observability payload rides in
+    ``value["obs"]`` (``None`` under ``drop_obs``), and a failed slice's
+    payload is dropped.  Exceptions become :class:`TrajectoryFailure`
+    data — the same raising-across-pipes discipline as
     :mod:`repro.core.parallel` — so a poisoned policy costs one campaign,
     never the fleet.
     """
@@ -499,11 +512,13 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
                 steps_done += 1
         finished = learner.finished
         trajectory = learner.finalize() if finished else None
+        blob = dumps_campaign(learner, dataset)
+        payload = obs.snapshot_state(reset_after=True)
         return (
             "ok",
             {
                 "cid": cid,
-                "blob": dumps_campaign(learner, dataset),
+                "blob": blob,
                 "n_records_before": n_before,
                 "n_records": len(learner.records),
                 "new_indices": [
@@ -514,10 +529,11 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
                 "cum_cost": learner.cumulative_cost_spent,
                 "finished": finished,
                 "trajectory": trajectory,
-                "obs": None,
+                "obs": None if job["drop_obs"] else payload,
             },
         )
     except Exception as exc:  # noqa: BLE001 - the boundary must be total
+        obs.snapshot_state(reset_after=True)
         return (
             "failed",
             TrajectoryFailure(
@@ -526,177 +542,41 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
         )
 
 
-def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
-    """Entry point of one spawned campaign worker (must be importable).
+def _serve_slice(dataset: Dataset, cmd: str, job: dict) -> tuple:
+    """Campaign-worker handler: one slice (``cmd`` is always ``"slice"``).
 
-    Protocol: ``("dataset", ds)`` installs the shared dataset (doubles as
-    the readiness handshake), ``("slice", job)`` runs one slice,
-    ``("ping", None)`` / ``("close", None)`` are liveness/shutdown.
-    Chaos directives ride on the job: ``crash`` hard-kills the process
-    (``os._exit`` — the parent sees EOF, exactly like a node failure),
-    ``oom`` aborts before any work, ``timeout`` sleeps past the parent's
-    deadline kill, ``straggler`` sleeps then runs normally.
+    Returns :func:`_run_slice`'s ``(status, value)``.  Chaos directives
+    ride on the job: ``crash`` hard-kills the process (``os._exit`` — the
+    parent sees EOF, exactly like a node failure), ``oom`` aborts before
+    any work, ``timeout`` sleeps past the parent's deadline kill,
+    ``straggler`` sleeps then runs normally.
     """
-    if trace_enabled:
-        obs.enable_tracing()
-    dataset: Dataset | None = None
-    while True:
-        try:
-            cmd, payload = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        if cmd == "close":
-            conn.send(("ok", None))
-            break
-        if cmd == "dataset":
-            dataset = payload
-            conn.send(("ok", rank))
-            continue
-        if cmd == "ping":
-            conn.send(("ok", rank))
-            continue
-        if cmd != "slice":
-            conn.send(
-                ("failed", TrajectoryFailure(name="?", error=f"unknown command {cmd!r}"))
-            )
-            continue
-        try:
-            directive = payload.get("directive")
-            if directive == "crash":
-                os._exit(17)  # a node failure does not unwind the stack
-            if directive == "oom":
-                conn.send(("fault", {"kind": FaultKind.OOM.value, "cid": payload["cid"]}))
-                continue
-            if directive in ("timeout", "straggler"):
-                time.sleep(payload["sleep_s"])
-                if directive == "timeout":
-                    # Only reached if the parent's deadline kill raced
-                    # behind; either path yields the same TIMEOUT fault.
-                    conn.send(
-                        ("fault", {"kind": FaultKind.TIMEOUT.value, "cid": payload["cid"]})
-                    )
-                    continue
-            status, value = _run_slice(dataset, payload)
-            if status == "ok":
-                snap = obs.snapshot_state(reset_after=True)
-                value["obs"] = None if payload.get("drop_obs") else snap
-            conn.send((status, value))
-        except Exception as exc:  # noqa: BLE001 - report, never kill the pipe
-            conn.send(
-                (
-                    "failed",
-                    TrajectoryFailure(
-                        name=payload.get("cid", "?") if isinstance(payload, dict) else "?",
-                        error=repr(exc),
-                        traceback=_traceback.format_exc(),
-                    ),
-                )
-            )
+    directive = job["directive"]
+    if directive == "crash":
+        os._exit(17)  # a node failure does not unwind the stack
+    if directive == "oom":
+        return "fault", FaultKind.OOM.value
+    if directive in ("timeout", "straggler"):
+        time.sleep(job["sleep_s"])
+        if directive == "timeout":
+            # Only reached if the parent's deadline kill raced behind;
+            # either path yields the same TIMEOUT fault.
+            return "fault", FaultKind.TIMEOUT.value
+    return _run_slice(dataset, job)
 
 
-class _WorkerHandle:
-    """One live worker process: its pipe plus the slice it is running."""
+class CampaignWorkerPool(WorkerPool):
+    """The campaign workers the service dispatches slices to.
 
-    __slots__ = ("rank", "proc", "conn", "ticket")
-
-    def __init__(self, rank, proc, conn) -> None:
-        self.rank = rank
-        self.proc = proc
-        self.conn = conn
-        self.ticket: "_Ticket | None" = None
-
-
-class CampaignWorkerPool:
-    """Spawn-safe campaign workers the service dispatches slices to.
-
-    Unlike :class:`~repro.core.parallel.ShardWorkerPool` (synchronous
-    phases, the parent is the barrier), campaign workers are *free
-    running*: each owns at most one in-flight slice and the service
-    multiplexes replies with :func:`multiprocessing.connection.wait`.
-    Workers are expendable — a dead one (chaos crash, real crash) is
-    respawned in place and re-fed the dataset; the slice it was running
-    is re-dispatched from its checkpoint by the scheduler.
+    Each worker holds the dataset (shipped once per spawn) and runs at
+    most one slice at a time; the service multiplexes replies through
+    :meth:`~repro.core.parallel.WorkerPool.wait`.  A dead worker (chaos
+    crash, real crash) is respawned by the pool, and the scheduler re-runs
+    its slice from the campaign's checkpoint.
     """
 
     def __init__(self, num_workers: int, dataset: Dataset) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self._ctx = get_context("spawn")
-        self._dataset = dataset
-        self.workers = [self._spawn(rank) for rank in range(num_workers)]
-
-    def __len__(self) -> int:
-        return len(self.workers)
-
-    def _spawn(self, rank: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_campaign_worker_main,
-            args=(child_conn, rank, obs.tracing_enabled()),
-            daemon=True,
-            name=f"campaign-worker-{rank}",
-        )
-        proc.start()
-        child_conn.close()
-        # Shipping the dataset doubles as the readiness handshake.
-        parent_conn.send(("dataset", self._dataset))
-        status, _ = parent_conn.recv()
-        if status != "ok":  # pragma: no cover - import-time breakage only
-            raise ServiceError(f"campaign worker {rank} failed to initialize")
-        return _WorkerHandle(rank, proc, parent_conn)
-
-    def respawn(self, handle: _WorkerHandle) -> None:
-        """Replace a dead (or condemned) worker in place."""
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if handle.proc.is_alive():
-            handle.proc.terminate()
-        handle.proc.join(timeout=5.0)
-        fresh = self._spawn(handle.rank)
-        handle.proc = fresh.proc
-        handle.conn = fresh.conn
-        handle.ticket = None
-
-    def idle(self) -> Iterator[_WorkerHandle]:
-        return (w for w in self.workers if w.ticket is None)
-
-    def busy(self) -> list[_WorkerHandle]:
-        return [w for w in self.workers if w.ticket is not None]
-
-    def close(self) -> None:
-        """Shut every worker down; safe to call twice."""
-        for w in self.workers:
-            try:
-                if w.proc.is_alive():
-                    if w.ticket is not None:
-                        # Mid-slice: no point draining — the result would
-                        # be discarded anyway (nothing committed).
-                        w.proc.terminate()
-                    else:
-                        w.conn.send(("close", None))
-                        if w.conn.poll(2.0):
-                            w.conn.recv()
-            except (OSError, BrokenPipeError):
-                pass
-            finally:
-                try:
-                    w.conn.close()
-                except OSError:
-                    pass
-        for w in self.workers:
-            w.proc.join(timeout=2.0)
-            if w.proc.is_alive():  # pragma: no cover - stuck worker
-                w.proc.terminate()
-        self.workers = []
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            if self.workers:
-                self.close()
-        except Exception:
-            pass
+        super().__init__(num_workers, _serve_slice, dataset, "campaign-worker")
 
 
 # ------------------------------------------------------------- service
@@ -708,7 +588,6 @@ class _Ticket:
 
     cid: str
     directive: str | None = None
-    deadline: float | None = None
     wasted_node_hours: float = 0.0
     lost_wall_seconds: float = 0.0
     straggle_overhead_nh: float = 0.0
@@ -1052,10 +931,8 @@ class CampaignService:
         # restore the service's own accumulated state.
         stash = obs.snapshot_state(reset_after=True)
         status, value = _run_slice(self.dataset, job)
-        payload = obs.snapshot_state(reset_after=True)
         obs.merge_state(stash)
         if status == "ok":
-            value["obs"] = None if job["drop_obs"] else payload
             self._commit(rec, value, ticket)
         else:
             self._fail(rec, value)
@@ -1064,58 +941,40 @@ class CampaignService:
     # --- process mode
 
     def _fill_workers(self) -> None:
-        for worker in list(self._pool.idle()):
+        for worker in self._pool.idle():
             rec = self._next_pending()
             if rec is None:
                 return
             ticket = self._decide(rec)
-            job = self._make_job(rec, ticket)
+            deadline = None
             if ticket.directive == "timeout":
-                ticket.deadline = time.monotonic() + self.chaos.timeout_kill_s
-            worker.conn.send(("slice", job))
-            worker.ticket = ticket
+                deadline = time.monotonic() + self.chaos.timeout_kill_s
+            self._pool.submit(
+                worker, ticket, "slice", self._make_job(rec, ticket), deadline
+            )
 
     def _wait_and_handle(self) -> None:
-        busy = self._pool.busy()
-        deadlines = [w.ticket.deadline for w in busy if w.ticket.deadline is not None]
-        timeout = None
-        if deadlines:
-            timeout = max(0.0, min(deadlines) - time.monotonic())
-        ready = connection.wait([w.conn for w in busy], timeout)
-        by_conn = {w.conn: w for w in busy}
-        for conn in ready:
-            worker = by_conn[conn]
-            try:
-                status, value = conn.recv()
-            except (EOFError, ConnectionResetError, OSError):
-                self._handle_worker_death(worker)
-                continue
-            ticket, worker.ticket = worker.ticket, None
+        for _, ticket, status, value in self._pool.wait():
             rec = self._campaigns[ticket.cid]
+            if status == "ok":
+                status, value = value
             if status == "ok":
                 self._commit(rec, value, ticket)
             elif status == "fault":
-                self._discard(rec, FaultKind(value["kind"]), ticket)
+                self._discard(rec, FaultKind(value), ticket)
+            elif status == "died":
+                # Whether chaos ordered the crash or the worker genuinely
+                # died, the response is the same: discard and re-run (the
+                # pool has respawned the worker).
+                self._discard(rec, FaultKind.CRASH, ticket)
+            elif status == "deadline":
+                # The slice overran its window (chaos TIMEOUT): the pool
+                # killed and respawned the worker.
+                self._discard(rec, FaultKind.TIMEOUT, ticket)
+            elif status == "error":
+                self._fail(rec, TrajectoryFailure(ticket.cid, *value))
             else:
                 self._fail(rec, value)
-        now = time.monotonic()
-        for worker in busy:
-            t = worker.ticket
-            if t is not None and t.deadline is not None and now >= t.deadline:
-                # Deadline kill: the slice overran its window (chaos
-                # TIMEOUT); condemn the worker and discard the slice.
-                ticket, worker.ticket = t, None
-                self._pool.respawn(worker)
-                self._discard(self._campaigns[ticket.cid], FaultKind.TIMEOUT, ticket)
-
-    def _handle_worker_death(self, worker: _WorkerHandle) -> None:
-        ticket, worker.ticket = worker.ticket, None
-        self._pool.respawn(worker)
-        if ticket is None:  # pragma: no cover - death between slices
-            return
-        # Whether chaos ordered the crash or the worker genuinely died,
-        # the response is the same: discard, respawn, re-run.
-        self._discard(self._campaigns[ticket.cid], FaultKind.CRASH, ticket)
 
     # ------------------------------------------------------- chaos decisions
 

@@ -77,7 +77,7 @@ class ExchangeCalibration:
     Produced by :func:`calibrate_exchange` from the halo counters the
     sharded AMR exchange exports through :mod:`repro.obs`
     (``amr.halo.gather_bytes`` / ``amr.halo.messages``, shipped home by
-    ``ShardWorkerPool.drain_observability``) or directly from
+    ``ParallelAmrDriver.drain_observability``) or directly from
     :class:`repro.amr.shard.ShardedExchange` accounting.
 
     Attributes

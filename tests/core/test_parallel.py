@@ -1,5 +1,7 @@
 """Tests for the process-pool trajectory runner."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ class ExplodingPolicy(RandUniform):
         if self.calls >= 3:
             raise RuntimeError("injected mid-run explosion")
         return super().select(view, rng)
+
+
+class DyingPolicy(RandUniform):
+    """Hard-kills its worker process on the first selection (a real death,
+    not an exception).  Module-level so it pickles into workers."""
+
+    name = "dying"
+
+    def select(self, view, rng):
+        os._exit(23)
 
 
 def _specs(n=3, **kw):
@@ -186,31 +198,37 @@ class TestWorkerCountDeterminism:
             )
 
 
+class TestDyingWorker:
+    def test_dead_worker_costs_only_its_own_spec(self, small_dataset):
+        """A worker that dies outright (os._exit in the policy) fails its
+        own spec only; the pool respawns it and every other spec is
+        bit-identical to a serial run."""
+        healthy = _specs(5)
+        dying = TrajectorySpec(
+            name="dier", policy_factory=DyingPolicy, base_seed=31, traj_index=9,
+            n_init=15, n_test=20, max_iterations=4,
+        )
+        specs = healthy[:2] + [dying] + healthy[2:]
+        out = run_trajectories(
+            small_dataset, specs, max_workers=2, on_error="return"
+        )
+        assert [name for name, _ in out] == [s.name for s in specs]
+        kinds = [type(t) for _, t in out]
+        assert kinds == [Trajectory] * 2 + [TrajectoryFailure] + [Trajectory] * 3
+        assert "died" in out[2][1].error
+        survivors = out[:2] + out[3:]
+        serial = run_trajectories(small_dataset, healthy, max_workers=1)
+        for (n_ref, t_ref), (n_par, t_par) in zip(serial, survivors):
+            assert n_ref == n_par
+            assert np.array_equal(t_ref.selected_indices, t_par.selected_indices)
+            assert np.array_equal(t_ref.rmse_cost, t_par.rmse_cost)
+            assert np.array_equal(t_ref.rmse_mem, t_par.rmse_mem)
+
+
 class TestMidDrainCancellation:
     """Regression: obs payloads already shipped by finished workers must be
-    merged even when the drain loop is cancelled on a later future."""
-
-    class _FakeFuture:
-        def __init__(self, value=None, exc=None):
-            self._value, self._exc = value, exc
-
-        def result(self):
-            if self._exc is not None:
-                raise self._exc
-            return self._value
-
-    class _FakePool:
-        def __init__(self, futures):
-            self._futures = iter(futures)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, spec):
-            return next(self._futures)
+    merged even when the drain loop is cancelled while waiting for a later
+    result."""
 
     def test_finished_payloads_survive_cancellation(
         self, small_dataset, monkeypatch
@@ -218,23 +236,25 @@ class TestMidDrainCancellation:
         from repro import obs
         from repro.core import parallel
 
-        payload = {"metrics": {"counters": {"test.mid_drain.sentinel": 3}},
-                   "trace": None}
-        futures = [
-            self._FakeFuture(value=("a", object(), payload)),
-            self._FakeFuture(exc=KeyboardInterrupt()),
-        ]
-        monkeypatch.setattr(
-            parallel,
-            "ProcessPoolExecutor",
-            lambda *a, **kw: self._FakePool(futures),
-        )
+        real_wait = parallel.WorkerPool.wait
+        waits = []
+
+        def wait_then_interrupt(pool):
+            # The first wait returns real results (and their payloads);
+            # the next one is cancelled while specs are still running.
+            waits.append(None)
+            if len(waits) > 1:
+                raise KeyboardInterrupt
+            return real_wait(pool)
+
+        monkeypatch.setattr(parallel.WorkerPool, "wait", wait_then_interrupt)
         obs.reset()
         try:
             with pytest.raises(KeyboardInterrupt):
-                run_trajectories(small_dataset, _specs(2), max_workers=2)
-            counters = obs.METRICS.state()["counters"]
-            # The first worker's payload was merged before the cancellation.
-            assert counters.get("test.mid_drain.sentinel") == 3
+                run_trajectories(small_dataset, _specs(3), max_workers=2)
+            # The payload of the spec that finished before the
+            # cancellation was merged: only workers fit models here.
+            assert obs.snapshot()["fit"].calls > 0
+            assert obs.counters().get("lml_eval", 0) > 0
         finally:
             obs.reset()

@@ -113,6 +113,40 @@ class TestResumeRefusal:
             CampaignService(small_dataset, store=store)
 
 
+class TestCorruptCheckpoint:
+    """A damaged ``<cid>.ckpt`` is refused with a ServiceError naming the
+    file, not a bare unpickling traceback."""
+
+    def _store_with_one_campaign(self, tmp_path, small_dataset):
+        store = CheckpointStore(tmp_path)
+        with CampaignService(small_dataset, store=store, steps_per_slice=2) as svc:
+            svc.submit(make_specs(1)[0])
+            svc.run(max_slices=1)
+        return store
+
+    def _assert_refused(self, store, small_dataset):
+        path = str(store.path("camp-0"))
+        with pytest.raises(ServiceError, match="corrupt checkpoint") as info:
+            CampaignService(small_dataset, store=store)
+        assert path in str(info.value)
+
+    def test_truncated_bytes_refused(self, tmp_path, small_dataset):
+        store = self._store_with_one_campaign(tmp_path, small_dataset)
+        path = store.path("camp-0")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        self._assert_refused(store, small_dataset)
+
+    def test_garbage_bytes_refused(self, tmp_path, small_dataset):
+        store = self._store_with_one_campaign(tmp_path, small_dataset)
+        store.path("camp-0").write_bytes(b"this is not a checkpoint\x00\xff" * 8)
+        self._assert_refused(store, small_dataset)
+
+    def test_non_dict_payload_refused(self, tmp_path, small_dataset):
+        store = self._store_with_one_campaign(tmp_path, small_dataset)
+        store.path("camp-0").write_bytes(pickle.dumps(["not", "a", "record"]))
+        self._assert_refused(store, small_dataset)
+
+
 class TestKillResume:
     @given(kill_after=st.integers(min_value=0, max_value=7))
     @settings(max_examples=6, deadline=None)
